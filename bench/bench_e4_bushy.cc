@@ -21,13 +21,14 @@ int main() {
   BushyRewriter rewriter(&ctx.meta);
   auto variants = rewriter.MakeVariants(*query, 3);
   if (!variants.ok()) return 1;
+  const QueryService& planner = *ctx.db->query_service();
 
   TablePrinter t({"variant", "pipelines", "latency", "machine-time", "bill",
                   "latency vs left-deep"});
   Seconds base_latency = 0.0;
   for (const auto& v : *variants) {
-    auto planned = ctx.optimizer->PlanShaped(*query, v.plan,
-                                             UserConstraint::Sla(1e9));
+    auto planned =
+        planner.PlanShaped(*query, v.plan, UserConstraint::Sla(1e9));
     if (!planned.ok()) continue;
     // Fixed node budget per pipeline keeps the comparison about shape.
     DopMap dops;
@@ -53,7 +54,7 @@ int main() {
        std::vector<std::pair<std::string, UserConstraint>>{
            {"tight SLA", UserConstraint::Sla(15.0)},
            {"tight budget", UserConstraint::Budget(0.02)}}) {
-    auto planned = ctx.optimizer->Plan(*query, constraint);
+    auto planned = planner.Plan(*query, constraint);
     if (!planned.ok()) continue;
     pick.AddRow({label,
                  planned->bushiness == 0

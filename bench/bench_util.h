@@ -32,9 +32,6 @@ struct BenchContext {
   const InstanceType& node;
   CostEstimator* estimator;
   DistributedSimulator* simulator;
-  /// Experiment-layer handle for shape-pinned planning (PlanShaped etc.);
-  /// regular planning goes through db->PlanSql / db->Prepare.
-  std::unique_ptr<BiObjectiveOptimizer> optimizer;
 
   explicit BenchContext(std::unique_ptr<Database> database)
       : db(std::move(database)),
@@ -43,8 +40,7 @@ struct BenchContext {
         hw(*db->hardware()),
         node(db->node_type()),
         estimator(db->estimator()),
-        simulator(db->simulator()),
-        optimizer(std::make_unique<BiObjectiveOptimizer>(&meta, estimator)) {}
+        simulator(db->simulator()) {}
 
   static BenchContext Make(double scale = 0.01,
                            double fact_virtual_scale = 2e5,

@@ -310,8 +310,7 @@ run_asan_stage() {
   # corruption/truncation fixtures flip every byte), and the socket
   # transport round-trips frames larger than kernel buffers through raw
   # read/write loops — exactly ASAN's bounds/lifetime domain. sharded_test
-  # in turn drives the socket transport and forked worker processes through
-  # whole-query exchanges.
+  # in turn drives the socket transport through whole-query exchanges.
   echo "== ASAN/UBSAN (exec + vectorized + sharded + elastic + tenant + storage + net) =="
   local build_dir="${ASAN_BUILD_DIR:-build-asan}"
   cmake -B "$build_dir" -S . -DCOSTDB_ASAN=ON -DCMAKE_BUILD_TYPE=Debug \

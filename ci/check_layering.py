@@ -69,7 +69,6 @@ INCLUDE_RE = re.compile(r'^\s*#\s*include\s*"([^"]+)"')
 # Planner-stage headers: the optimizer's internals. sql/binder.h is the
 # bind stage even though it lives under sql/.
 OPTIMIZER_INTERNAL = {
-    "optimizer/optimizer.h",
     "optimizer/dag_planner.h",
     "optimizer/physical_planner.h",
     "optimizer/bushy_rewriter.h",

@@ -4,12 +4,7 @@
 #include <chrono>
 #include <numeric>
 
-#include <sys/wait.h>
-#include <unistd.h>
-
 #include "exec/evaluator.h"
-#include "net/wire.h"
-#include "storage/block/block_format.h"
 #include "storage/partition.h"
 
 namespace costdb {
@@ -246,8 +241,7 @@ std::shared_ptr<Table> MakeTempTable(const PhysicalPlan* exchange,
   return table;
 }
 
-/// Per-worker result of one fragment execution (thread slots and process
-/// children both land here).
+/// Per-worker result of one fragment execution.
 struct SlotResult {
   Result<QueryResult> result{Status::Internal("not run")};
   ScanStats scan_stats;
@@ -255,217 +249,7 @@ struct SlotResult {
   BlockCacheStats block_stats;
 };
 
-// -- Worker-process result protocol ----------------------------------------
-// A forked worker ships its fragment result back over a socketpair as one
-// length-prefixed frame: [body_len u64][body], where body is
-//   [ok u32]
-//   on error: [code u32][msg_len u32][msg]
-//   on ok:    ScanStats (4 u64) + FusedExecStats (5 u64 + double)
-//             + BlockCacheStats (4 u64 + 4 double) + wire::EncodeChunk
-// The chunk rides in the checksummed wire format, so a torn child write
-// surfaces as a decode Status, not silent row corruption.
-
-std::string EncodeSlotBody(const SlotResult& slot) {
-  std::string body;
-  if (!slot.result.ok()) {
-    block::PutU32(&body, 1);
-    const Status& st = slot.result.status();
-    block::PutU32(&body, static_cast<uint32_t>(st.code()));
-    block::PutU32(&body, static_cast<uint32_t>(st.message().size()));
-    body.append(st.message());
-    return body;
-  }
-  block::PutU32(&body, 0);
-  const ScanStats& sc = slot.scan_stats;
-  block::PutU64(&body, sc.morsels_total);
-  block::PutU64(&body, sc.morsels_pruned);
-  block::PutU64(&body, sc.rows_scanned);
-  block::PutU64(&body, sc.rows_pruned);
-  const FusedExecStats& fu = slot.fused_stats;
-  block::PutU64(&body, fu.fused_filter_morsels);
-  block::PutU64(&body, fu.fused_probe_morsels);
-  block::PutU64(&body, fu.fused_agg_morsels);
-  block::PutU64(&body, fu.fallback_morsels);
-  block::PutU64(&body, fu.fused_rows);
-  block::PutDouble(&body, fu.fused_seconds);
-  const BlockCacheStats& bc = slot.block_stats;
-  block::PutU64(&body, static_cast<uint64_t>(bc.hits));
-  block::PutU64(&body, static_cast<uint64_t>(bc.misses));
-  block::PutU64(&body, static_cast<uint64_t>(bc.evictions));
-  block::PutU64(&body, static_cast<uint64_t>(bc.rejected));
-  block::PutDouble(&body, bc.bytes_read);
-  block::PutDouble(&body, bc.bytes_hit);
-  block::PutDouble(&body, bc.miss_seconds);
-  block::PutDouble(&body, bc.miss_get_dollars);
-  wire::EncodeChunk(slot.result.value().chunk, &body);
-  return body;
-}
-
-Status RemakeStatus(uint32_t code, std::string msg) {
-  switch (static_cast<Status::Code>(code)) {
-    case Status::Code::kInvalidArgument:
-      return Status::InvalidArgument(std::move(msg));
-    case Status::Code::kNotFound:
-      return Status::NotFound(std::move(msg));
-    case Status::Code::kNotSupported:
-      return Status::NotSupported(std::move(msg));
-    case Status::Code::kOutOfRange:
-      return Status::OutOfRange(std::move(msg));
-    case Status::Code::kResourceExhausted:
-      return Status::ResourceExhausted(std::move(msg));
-    case Status::Code::kSlaViolation:
-      return Status::SlaViolation(std::move(msg));
-    case Status::Code::kCancelled:
-      return Status::Cancelled(std::move(msg));
-    default:
-      return Status::Internal(std::move(msg));
-  }
-}
-
-Status DecodeSlotBody(const std::string& body, SlotResult* slot) {
-  block::ByteCursor cur{body.data(), body.size(), 0, true};
-  const uint32_t failed = cur.GetU32();
-  if (failed != 0) {
-    const uint32_t code = cur.GetU32();
-    const uint32_t len = cur.GetU32();
-    std::string msg = cur.GetBytes(len);
-    if (!cur.ok) return Status::Internal("worker frame: malformed error body");
-    slot->result = RemakeStatus(code, std::move(msg));
-    return Status::OK();
-  }
-  ScanStats sc;
-  sc.morsels_total = cur.GetU64();
-  sc.morsels_pruned = cur.GetU64();
-  sc.rows_scanned = cur.GetU64();
-  sc.rows_pruned = cur.GetU64();
-  FusedExecStats fu;
-  fu.fused_filter_morsels = cur.GetU64();
-  fu.fused_probe_morsels = cur.GetU64();
-  fu.fused_agg_morsels = cur.GetU64();
-  fu.fallback_morsels = cur.GetU64();
-  fu.fused_rows = cur.GetU64();
-  fu.fused_seconds = cur.GetDouble();
-  BlockCacheStats bc;
-  bc.hits = static_cast<int64_t>(cur.GetU64());
-  bc.misses = static_cast<int64_t>(cur.GetU64());
-  bc.evictions = static_cast<int64_t>(cur.GetU64());
-  bc.rejected = static_cast<int64_t>(cur.GetU64());
-  bc.bytes_read = cur.GetDouble();
-  bc.bytes_hit = cur.GetDouble();
-  bc.miss_seconds = cur.GetDouble();
-  bc.miss_get_dollars = cur.GetDouble();
-  if (!cur.ok) return Status::Internal("worker frame: malformed stats body");
-  Result<DataChunk> chunk =
-      wire::DecodeChunk(body.data() + cur.pos, body.size() - cur.pos);
-  COSTDB_RETURN_NOT_OK(chunk.status());
-  QueryResult qr;
-  qr.chunk = std::move(chunk).value();
-  slot->result = std::move(qr);
-  slot->scan_stats = sc;
-  slot->fused_stats = fu;
-  slot->block_stats = bc;
-  return Status::OK();
-}
-
-/// Execute one fragment plan per worker, each in a forked child process.
-/// The parent (coordinator) is single-threaded in process mode, so fork()
-/// is safe; each child builds a fresh LocalEngine over the inherited
-/// (copy-on-write) tables, runs its plan, writes one result frame, and
-/// _exit()s without unwinding.
-Status RunPlansInProcesses(const std::vector<PhysicalPlanPtr>& plans,
-                           const std::vector<uint8_t>& skip,
-                           size_t threads_per_worker,
-                           std::vector<SlotResult>* slots) {
-  struct Child {
-    pid_t pid = -1;
-    int fd = -1;
-  };
-  std::vector<Child> children(plans.size());
-  Status status = Status::OK();
-  for (size_t w = 0; w < plans.size(); ++w) {
-    if (skip[w]) continue;
-    int fds[2];
-    Status sp = MakeSocketPair(fds);
-    if (!sp.ok()) {
-      status = sp;
-      break;
-    }
-    pid_t pid = ::fork();
-    if (pid < 0) {
-      ::close(fds[0]);
-      ::close(fds[1]);
-      status = Status::Internal("worker fork failed");
-      break;
-    }
-    if (pid == 0) {
-      // Child: run the fragment, ship one frame, exit without unwinding
-      // (skips atexit/leak-check machinery the parent owns).
-      ::close(fds[0]);
-      SlotResult slot;
-      {
-        LocalEngine engine(threads_per_worker);
-        slot.result = engine.Execute(plans[w].get());
-        if (slot.result.ok()) {
-          slot.scan_stats = engine.last_scan_stats();
-          slot.fused_stats = engine.last_fused_stats();
-          slot.block_stats = engine.last_block_stats();
-        }
-        std::string body = EncodeSlotBody(slot);
-        std::string frame;
-        block::PutU64(&frame, body.size());
-        frame.append(body);
-        (void)WriteFull(fds[1], frame.data(), frame.size());
-      }
-      ::_exit(0);
-    }
-    ::close(fds[1]);
-    children[w] = Child{pid, fds[0]};
-  }
-  // Drain results in worker order; on any failure keep draining so every
-  // child is still reaped below (no zombies, no blocked writers).
-  std::string body;
-  for (size_t w = 0; w < plans.size(); ++w) {
-    if (children[w].fd < 0) continue;
-    if (status.ok()) {
-      uint64_t len = 0;
-      Status rd = ReadFull(children[w].fd, &len, sizeof(len));
-      if (rd.ok() && len > (1ull << 40)) {
-        rd = Status::Internal("worker frame: implausible length");
-      }
-      if (rd.ok()) {
-        body.resize(len);
-        rd = ReadFull(children[w].fd, body.data(), len);
-      }
-      if (rd.ok()) rd = DecodeSlotBody(body, &(*slots)[w]);
-      if (!rd.ok()) status = rd.WithContext("worker " + std::to_string(w));
-    }
-    ::close(children[w].fd);
-  }
-  for (size_t w = 0; w < plans.size(); ++w) {
-    if (children[w].pid > 0) {
-      int wstatus = 0;
-      (void)::waitpid(children[w].pid, &wstatus, 0);
-      if (status.ok() &&
-          (!WIFEXITED(wstatus) || WEXITSTATUS(wstatus) != 0)) {
-        status = Status::Internal("worker " + std::to_string(w) +
-                                  " exited abnormally");
-      }
-    }
-  }
-  return status;
-}
-
 }  // namespace
-
-const char* WorkerModeName(WorkerMode mode) {
-  switch (mode) {
-    case WorkerMode::kThreads:
-      return "threads";
-    case WorkerMode::kProcesses:
-      return "processes";
-  }
-  return "unknown";
-}
 
 double ChunkPayloadBytes(const DataChunk& chunk) {
   double total = 0.0;
@@ -485,37 +269,23 @@ double ChunkPayloadBytes(const DataChunk& chunk) {
 ShardedEngine::ShardedEngine(const ShardedEngineOptions& options)
     : threads_per_worker_(std::max<size_t>(1, options.threads_per_worker)),
       initial_workers_(std::max<size_t>(1, options.workers)),
-      worker_mode_(options.worker_mode),
       active_(initial_workers_),
       transport_(MakeTransport(options.transport)) {
-  workers_.resize(initial_workers_);
-  if (worker_mode_ == WorkerMode::kThreads) {
-    // Process mode creates neither engines nor a fan-out pool in the
-    // coordinator: a single-threaded parent makes fork() race-free, and
-    // each child builds its own LocalEngine after the fork.
-    for (auto& worker : workers_) {
-      worker.engine = std::make_unique<LocalEngine>(threads_per_worker_);
-    }
-    pool_ = std::make_unique<ThreadPool>(initial_workers_);
+  for (size_t w = 0; w < initial_workers_; ++w) {
+    workers_.push_back(std::make_unique<LocalEngine>(threads_per_worker_));
   }
+  pool_ = std::make_unique<ThreadPool>(initial_workers_);
 }
 
 void ShardedEngine::EnsureWorkers(size_t n) {
   if (n <= workers_.size()) return;
   const double start = NowSeconds();
   const size_t added = n - workers_.size();
-  workers_.resize(n);
-  if (worker_mode_ == WorkerMode::kThreads) {
-    for (auto& worker : workers_) {
-      if (!worker.engine) {
-        worker.engine = std::make_unique<LocalEngine>(threads_per_worker_);
-      }
-    }
-    if (pool_->num_threads() < n) {
-      // Rebuild the fan-out pool wider; safe between fragments (WaitIdle'd).
-      pool_ = std::make_unique<ThreadPool>(n);
-    }
+  while (workers_.size() < n) {
+    workers_.push_back(std::make_unique<LocalEngine>(threads_per_worker_));
   }
+  // Rebuild the fan-out pool wider; safe between fragments (WaitIdle'd).
+  pool_ = std::make_unique<ThreadPool>(n);
   usage_.workers_spun_up += added;
   usage_.spinup_seconds += NowSeconds() - start;
 }
@@ -923,25 +693,20 @@ Result<ShardedEngine::Shards> ShardedEngine::RunFragment(
 
   const double frag_start = NowSeconds();
   std::vector<SlotResult> slots(dop);
-  if (worker_mode_ == WorkerMode::kProcesses) {
-    COSTDB_RETURN_NOT_OK(
-        RunPlansInProcesses(plans, skip, threads_per_worker_, &slots));
-  } else {
-    auto run_one = [&](size_t w) {
-      LocalEngine* engine = workers_[w].engine.get();
-      slots[w].result = engine->Execute(plans[w].get());
-      slots[w].scan_stats = engine->last_scan_stats();
-      slots[w].fused_stats = engine->last_fused_stats();
-      slots[w].block_stats = engine->last_block_stats();
-    };
-    if (dop > 1) {
-      for (size_t w = 0; w < dop; ++w) {
-        if (!skip[w]) pool_->Submit([&run_one, w] { run_one(w); });
-      }
-      pool_->WaitIdle();
-    } else if (!skip.empty() && !skip[0]) {
-      run_one(0);
+  auto run_one = [&](size_t w) {
+    LocalEngine* engine = workers_[w].get();
+    slots[w].result = engine->Execute(plans[w].get());
+    slots[w].scan_stats = engine->last_scan_stats();
+    slots[w].fused_stats = engine->last_fused_stats();
+    slots[w].block_stats = engine->last_block_stats();
+  };
+  if (dop > 1) {
+    for (size_t w = 0; w < dop; ++w) {
+      if (!skip[w]) pool_->Submit([&run_one, w] { run_one(w); });
     }
+    pool_->WaitIdle();
+  } else if (!skip.empty() && !skip[0]) {
+    run_one(0);
   }
   usage_.fragments.push_back(
       FragmentUsage{dop, NowSeconds() - frag_start});

@@ -11,19 +11,6 @@
 
 namespace costdb {
 
-/// How worker shards execute: on in-process LocalEngines fanned out over a
-/// thread pool (the historical mode), or in forked worker processes whose
-/// results travel back serialized in the wire format. Process mode is the
-/// configuration where the socket transport's link costs stop being a
-/// simulation: every byte a fragment returns genuinely crosses an address
-/// space.
-enum class WorkerMode {
-  kThreads = 0,
-  kProcesses = 1,
-};
-
-const char* WorkerModeName(WorkerMode mode);
-
 /// One observed exchange execution, in the cost model's vocabulary. The
 /// CalibrationUpdater folds these into the calibration's shuffle term
 /// (bytes / shuffle_gibps + partitions * shuffle_dispatch_seconds), so
@@ -148,15 +135,13 @@ struct WorkerUsage {
 double ChunkPayloadBytes(const DataChunk& chunk);
 
 /// Construction knobs of a ShardedEngine — width, per-worker threading,
-/// and the two orthogonal distribution axes (how exchanged partitions
-/// travel, and where fragments execute). Any transport composes with any
-/// worker mode; results are bit-identical across all four combinations
-/// for order-stable plans (tested in sharded_test).
+/// and how exchanged partitions travel between workers. Results are
+/// bit-identical across transports for order-stable plans (tested in
+/// sharded_test).
 struct ShardedEngineOptions {
   size_t workers = 1;
   size_t threads_per_worker = 1;
   TransportKind transport = TransportKind::kInProcess;
-  WorkerMode worker_mode = WorkerMode::kThreads;
 };
 
 /// Partitioned multi-worker execution: runs a physical plan across N
@@ -209,8 +194,7 @@ class ShardedEngine {
   explicit ShardedEngine(const ShardedEngineOptions& options);
   explicit ShardedEngine(size_t num_workers, size_t threads_per_worker = 1)
       : ShardedEngine(ShardedEngineOptions{num_workers, threads_per_worker,
-                                           TransportKind::kInProcess,
-                                           WorkerMode::kThreads}) {}
+                                           TransportKind::kInProcess}) {}
 
   Result<QueryResult> Execute(const PhysicalPlan* root);
 
@@ -247,9 +231,6 @@ class ShardedEngine {
 
   /// How exchanged partitions travel between workers.
   TransportKind transport() const { return transport_->kind(); }
-
-  /// Where fragments execute (threads vs forked processes).
-  WorkerMode worker_mode() const { return worker_mode_; }
 
   /// Transport counters accumulated since the previous Execute call began
   /// (exchange-granular deltas live in last_exchange_stats().timings).
@@ -329,20 +310,12 @@ class ShardedEngine {
       const std::map<const PhysicalPlan*, FragmentInput>& inputs,
       double* input_rows) const;
 
-  struct Worker {
-    std::unique_ptr<LocalEngine> engine;  // null in process mode
-  };
-
   size_t threads_per_worker_ = 1;
   size_t initial_workers_ = 1;  // width every Execute starts from
-  WorkerMode worker_mode_ = WorkerMode::kThreads;
-  std::vector<Worker> workers_;
+  std::vector<std::unique_ptr<LocalEngine>> workers_;  // one per worker
   size_t active_ = 1;  // current execution width (<= workers_.size())
   /// One slot per worker; fragments fan out across it. unique_ptr so a
-  /// mid-query grow can rebuild it wider between fragments. Null in
-  /// process mode: the coordinator stays single-threaded there so fork()
-  /// never races a pool thread, and fragment fan-out is one child process
-  /// per worker instead.
+  /// mid-query grow can rebuild it wider between fragments.
   std::unique_ptr<ThreadPool> pool_;
   /// How exchanged partitions travel; owned per engine (the socketpair is
   /// engine state). Never null.

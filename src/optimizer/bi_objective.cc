@@ -2,9 +2,6 @@
 
 #include <algorithm>
 
-#include "optimizer/cardinality.h"
-#include "optimizer/passes.h"
-
 namespace costdb {
 
 int ResolveWorkerCount(const UserConstraint& constraint, const DopMap& dops,
@@ -17,55 +14,6 @@ int ResolveWorkerCount(const UserConstraint& constraint, const DopMap& dops,
   int widest = 1;
   for (const auto& [id, dop] : dops) widest = std::max(widest, dop);
   return std::min(widest, max_workers);
-}
-
-Result<PlannedQuery> BiObjectiveOptimizer::PlanShaped(
-    const BoundQuery& query, const LogicalPlanPtr& logical,
-    const UserConstraint& constraint) const {
-  PlannedQuery out;
-  PhysicalPlanner physical(meta_, &query.relations, options_.physical);
-  COSTDB_ASSIGN_OR_RETURN(out.plan, physical.Plan(logical));
-  out.pipelines = BuildPipelines(out.plan.get());
-  CardinalityEstimator cards(meta_, &query.relations);
-  out.volumes = ComputeVolumes(out.plan.get(), cards);
-  DopPlanner dop_planner(estimator_, options_.dop);
-  DopPlanResult dop = dop_planner.Plan(out.pipelines, out.volumes, constraint);
-  out.dops = dop.dops;
-  out.estimate = dop.estimate;
-  out.feasible = dop.feasible;
-  out.states_explored = dop.states_explored;
-  out.workers = ResolveWorkerCount(constraint, out.dops, options_.max_workers);
-  return out;
-}
-
-Result<PlannedQuery> BiObjectiveOptimizer::Plan(
-    const BoundQuery& query, const UserConstraint& constraint) const {
-  // The two-stage optimization is implemented as the explicit pass
-  // pipeline (optimizer/passes.h); this entry point keeps the historical
-  // pre-bound API for experiments.
-  QueryPlanContext ctx;
-  ctx.meta = meta_;
-  ctx.estimator = estimator_;
-  ctx.options = options_;
-  ctx.constraint = constraint;
-  ctx.query = query;
-  ctx.bound = true;
-  PassPipeline passes = MakeDefaultPassPipeline(options_.explore_bushy);
-  COSTDB_RETURN_NOT_OK(RunPassPipeline(passes, &ctx));
-  return std::move(ctx.best);
-}
-
-Result<PlannedQuery> BiObjectiveOptimizer::PlanSql(
-    const std::string& sql, const UserConstraint& constraint) const {
-  QueryPlanContext ctx;
-  ctx.meta = meta_;
-  ctx.estimator = estimator_;
-  ctx.options = options_;
-  ctx.constraint = constraint;
-  ctx.sql = sql;
-  PassPipeline passes = MakeDefaultPassPipeline(options_.explore_bushy);
-  COSTDB_RETURN_NOT_OK(RunPassPipeline(passes, &ctx));
-  return std::move(ctx.best);
 }
 
 }  // namespace costdb

@@ -44,41 +44,4 @@ struct BiObjectiveOptions {
   int max_workers = 8;
 };
 
-/// The paper's two-stage bi-objective optimizer (Section 3.2):
-///   stage 1 (DAG planning) fixes a left-deep shape;
-///   stage 2 (DOP planning) assigns per-pipeline parallelism under the
-///   user's latency-SLA or budget constraint, exploring a ladder of
-///   increasingly bushy variants of the chosen join order and keeping the
-///   best shape under the constraint.
-/// The Pareto problem is deliberately downgraded to constrained
-/// single-objective search to keep optimizer complexity near a classic
-/// cost-based optimizer (experiment E3 quantifies this).
-class BiObjectiveOptimizer {
- public:
-  BiObjectiveOptimizer(const MetadataService* meta,
-                       const CostEstimator* estimator,
-                       BiObjectiveOptions options = BiObjectiveOptions())
-      : meta_(meta), estimator_(estimator), options_(options) {}
-
-  Result<PlannedQuery> Plan(const BoundQuery& query,
-                            const UserConstraint& constraint) const;
-
-  Result<PlannedQuery> PlanSql(const std::string& sql,
-                               const UserConstraint& constraint) const;
-
-  /// Plan one already-shaped logical plan (no bushy exploration) — used by
-  /// experiments that pin the shape.
-  Result<PlannedQuery> PlanShaped(const BoundQuery& query,
-                                  const LogicalPlanPtr& logical,
-                                  const UserConstraint& constraint) const;
-
-  const MetadataService* meta() const { return meta_; }
-  const CostEstimator* estimator() const { return estimator_; }
-
- private:
-  const MetadataService* meta_;
-  const CostEstimator* estimator_;
-  BiObjectiveOptions options_;
-};
-
 }  // namespace costdb

@@ -235,12 +235,13 @@ PassPipeline MakeDefaultPassPipeline(bool explore_bushy) {
   return passes;
 }
 
-Status RunPassPipeline(const PassPipeline& passes, QueryPlanContext* ctx) {
-  for (const auto& pass : passes) {
-    Status s = pass->Run(ctx);
+Status RunPassPipeline(const PassPipeline& passes, QueryPlanContext* ctx,
+                       size_t first) {
+  for (size_t i = first; i < passes.size(); ++i) {
+    Status s = passes[i]->Run(ctx);
     if (!s.ok()) {
-      return s.WithContext(std::string("optimizer pass '") + pass->name() +
-                           "'");
+      return s.WithContext(std::string("optimizer pass '") +
+                           passes[i]->name() + "'");
     }
   }
   if (!ctx->planned) {

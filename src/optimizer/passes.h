@@ -115,12 +115,14 @@ class DopPlanPass : public OptimizerPass {
 /// -> dop_plan.
 PassPipeline MakeDefaultPassPipeline(bool explore_bushy = true);
 
-/// Run `passes` in order over `ctx`; fails if no pass produced a plan.
-Status RunPassPipeline(const PassPipeline& passes, QueryPlanContext* ctx);
+/// Run `passes` in order, from index `first`, over `ctx`; fails if no pass
+/// produced a plan.
+Status RunPassPipeline(const PassPipeline& passes, QueryPlanContext* ctx,
+                       size_t first = 0);
 
 /// Front door for binding alone — callers outside the optimizer (service
-/// facade, sim harness, stats ingestion) use this instead of constructing
-/// a Binder by hand.
+/// facade, stats ingestion) use this instead of constructing a Binder by
+/// hand.
 Result<BoundQuery> BindSql(const MetadataService* meta, const std::string& sql);
 
 }  // namespace costdb

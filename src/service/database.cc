@@ -11,6 +11,18 @@
 
 namespace costdb {
 
+namespace {
+
+/// Lock shards of the facade's serial execution engines: tenants hash onto
+/// shards, so one tenant's serial query never queues behind another
+/// tenant's engine lock.
+constexpr size_t kEngineShards = 4;
+
+/// Relative calibration movement that invalidates cached plans.
+constexpr double kRecalibrationThreshold = 0.05;
+
+}  // namespace
+
 Database::Database(DatabaseOptions options)
     : options_(options), node_(pricing_.default_node()) {
   // One worker-count cap end to end: the optimizer's 0-auto resolution
@@ -32,10 +44,9 @@ Database::Database(DatabaseOptions options)
       std::make_unique<CalibrationUpdater>(&hw_, options_.calibration);
   // Serial engines live in tenant-hashed lock shards and are built
   // lazily: a process serving one tenant spins up one engine pool, not
-  // engine_shards of them.
-  const size_t shards = std::max<size_t>(1, options_.engine_shards);
-  engine_shards_.reserve(shards);
-  for (size_t i = 0; i < shards; ++i) {
+  // kEngineShards of them.
+  engine_shards_.reserve(kEngineShards);
+  for (size_t i = 0; i < kEngineShards; ++i) {
     engine_shards_.push_back(std::make_unique<EngineShard>());
   }
   if (options_.enable_persistent_storage) {
@@ -214,12 +225,6 @@ Result<std::shared_ptr<const PlannedQuery>> Database::PlanCachedImpl(
     const std::string& cache_key,
     const std::function<Result<PlannedQuery>()>& plan_fn, bool* cache_hit) {
   *cache_hit = false;
-  if (!options_.enable_plan_cache) {
-    ReaderMutexLock hw_lock(hw_mu_);
-    auto planned = plan_fn();
-    if (!planned.ok()) return planned.status();
-    return std::make_shared<const PlannedQuery>(std::move(*planned));
-  }
   int planned_under_version = 0;
   std::shared_ptr<PlanInFlight> flight;
   {
@@ -389,7 +394,6 @@ Result<ExecutionResult> Database::ExecuteSharded(
   engine_options.workers = workers;
   engine_options.threads_per_worker = options_.sharded_threads_per_worker;
   engine_options.transport = options_.exchange_transport;
-  engine_options.worker_mode = options_.worker_mode;
   if (serial) {
     EngineShard& shard = ShardFor(tenant);
     MutexLock lock(shard.mu);
@@ -750,7 +754,7 @@ CalibrationReport Database::Calibrate(const ExecutionResult& executed) {
                                    executed.plan->volumes, executed.timings,
                                    *estimator_, /*dop=*/1);
   }
-  bool moved = report.changed(options_.recalibration_threshold);
+  bool moved = report.changed(kRecalibrationThreshold);
   if (!executed.exchange.timings.empty()) {
     // Sharded run: fold the measured exchange wall times into the
     // calibration's shuffle term (bytes/shuffle_bw + per-partition
@@ -758,7 +762,7 @@ CalibrationReport Database::Calibrate(const ExecutionResult& executed) {
     CalibrationReport shuffle =
         calibration_->ObserveShuffles(executed.exchange.timings);
     if (executed.timings.empty()) report = shuffle;
-    moved = moved || shuffle.changed(options_.recalibration_threshold);
+    moved = moved || shuffle.changed(kRecalibrationThreshold);
     // Over a serializing transport the same timings also carry a measured
     // link share (serialize + socket transfer seconds per exchange): fold
     // it into the link terms, which only transported runs may move.
@@ -769,7 +773,7 @@ CalibrationReport Database::Calibrate(const ExecutionResult& executed) {
     if (any_link) {
       CalibrationReport link =
           calibration_->ObserveTransport(executed.exchange.timings);
-      moved = moved || link.changed(options_.recalibration_threshold);
+      moved = moved || link.changed(kRecalibrationThreshold);
     }
   }
   if (executed.fused.any_fused() && executed.fused.fused_seconds > 0.0) {
@@ -783,7 +787,7 @@ CalibrationReport Database::Calibrate(const ExecutionResult& executed) {
                                       executed.fused.fused_agg_morsels);
     obs.seconds = executed.fused.fused_seconds;
     CalibrationReport fused = calibration_->ObserveFused({obs});
-    moved = moved || fused.changed(options_.recalibration_threshold);
+    moved = moved || fused.changed(kRecalibrationThreshold);
   }
   if (executed.storage.misses > 0 && executed.storage.miss_seconds > 0.0) {
     // Cold blocks were read: fold the measured fetch+decode wall time into
@@ -794,7 +798,7 @@ CalibrationReport Database::Calibrate(const ExecutionResult& executed) {
     obs.blocks = static_cast<double>(executed.storage.misses);
     obs.seconds = executed.storage.miss_seconds;
     CalibrationReport storage = calibration_->ObserveStorage({obs});
-    moved = moved || storage.changed(options_.recalibration_threshold);
+    moved = moved || storage.changed(kRecalibrationThreshold);
   }
   if (moved) {
     // Estimates produced before this round are stale; lazily invalidate

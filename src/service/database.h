@@ -49,11 +49,6 @@ struct DatabaseOptions {
   /// calibration learns the link terms from them (ObserveTransport), and
   /// moved wire bytes are billed at the egress rate.
   TransportKind exchange_transport = TransportKind::kInProcess;
-  /// Where sharded fragments execute: LocalEngines on a thread pool, or
-  /// forked worker processes whose results return serialized over
-  /// sockets. Results are bit-identical across both for order-stable
-  /// plans.
-  WorkerMode worker_mode = WorkerMode::kThreads;
   /// Cap on UserConstraint::workers == 0 auto-resolution and on explicit
   /// worker requests routed to the sharded backend.
   size_t max_workers = 16;
@@ -64,12 +59,6 @@ struct DatabaseOptions {
   /// Cost-aware admission for asynchronously submitted queries
   /// (Session::Submit); max_concurrent == 0 inherits batch_threads.
   AdmissionOptions admission;
-  /// Cache bound+optimized plans keyed by (statement shape, constraint);
-  /// invalidated when the calibration moves materially. The shape is the
-  /// normalized token stream (sql/shape.h), so whitespace and keyword
-  /// case do not fragment the cache, and prepared statements share one
-  /// entry across all parameter values.
-  bool enable_plan_cache = true;
   /// Shared result cache keyed by (statement shape, constraint, bound
   /// parameter vector): a hot repeated statement costs one execution, and
   /// every later identical submit is served the materialized rows.
@@ -86,10 +75,6 @@ struct DatabaseOptions {
   /// budget, on top of the entry cap — a handful of huge results can no
   /// longer pin the cache at "only 256 entries" of arbitrary memory.
   size_t result_cache_max_bytes = 0;
-  /// Lock shards of the facade's serial execution engines: tenants hash
-  /// onto shards, so one tenant's serial query never queues behind
-  /// another tenant's engine lock.
-  size_t engine_shards = 4;
   /// Persistent block storage (docs/STORAGE.md): when true the facade owns
   /// a byte-backed SimulatedObjectStore plus a shared cost-priced
   /// BlockCache, and PersistTable() attaches an LSM-lite block tier to
@@ -110,8 +95,6 @@ struct DatabaseOptions {
   /// after every local execution (the paper's calibration loop).
   bool enable_calibration = true;
   CalibrationUpdaterOptions calibration;
-  /// Relative calibration movement that invalidates cached plans.
-  double recalibration_threshold = 0.05;
   /// Elastic sharded execution: when true, every sharded run (resolved
   /// workers > 1) consults an ElasticController at fragment boundaries —
   /// a fresh PipelineDopMonitor per query proposes widths from observed
@@ -206,12 +189,14 @@ class Database {
   /// for malformed SQL and unknown names.
   Result<BoundQuery> BindSql(const std::string& sql) const;
 
-  /// Plan through the pass pipeline, honoring the plan cache when
-  /// enabled. Cache entries are keyed by (statement shape, constraint)
-  /// and stamped with the calibration version they were planned under; a
-  /// lookup whose stamp predates the current version replans instead of
-  /// returning a stale plan (see calibration_version()). The returned
-  /// plan is immutable and shared — callers must not mutate it.
+  /// Plan through the pass pipeline and the plan cache. Cache entries are
+  /// keyed by (statement shape, constraint) — the shape is the normalized
+  /// token stream (sql/shape.h), so whitespace, keyword case and
+  /// parameter values do not fragment the cache — and stamped with the
+  /// calibration version they were planned under; a lookup whose stamp
+  /// predates the current version replans instead of returning a stale
+  /// plan (see calibration_version()). The returned plan is immutable and
+  /// shared — callers must not mutate it.
   Result<PlannedQuery> PlanSql(const std::string& sql,
                                const UserConstraint& constraint);
 
@@ -420,10 +405,10 @@ class Database {
   // -- Calibration loop --------------------------------------------------
   const CalibrationUpdater& calibration() const { return *calibration_; }
   /// Bumped whenever a feedback round moves the calibration by more than
-  /// options.recalibration_threshold (relative). Cached plans carry the
-  /// version they were planned under; any entry older than the current
-  /// version is invalidated lazily on its next lookup, so estimates that
-  /// drifted materially can never serve a stale plan.
+  /// 5% (relative). Cached plans carry the version they were planned
+  /// under; any entry older than the current version is invalidated
+  /// lazily on its next lookup, so estimates that drifted materially can
+  /// never serve a stale plan.
   int calibration_version() const {
     // Locked read: Calibrate bumps the version concurrently with running
     // queries, and a torn/stale read here would let a racing lookup serve

@@ -10,11 +10,11 @@ QueryService::QueryService(const MetadataService* meta,
       options_(options),
       passes_(MakeDefaultPassPipeline(options.explore_bushy)) {}
 
-Status QueryService::RunOn(QueryPlanContext* ctx) const {
+Status QueryService::RunOn(QueryPlanContext* ctx, size_t first_pass) const {
   ctx->meta = meta_;
   ctx->estimator = estimator_;
   ctx->options = options_;
-  return RunPassPipeline(passes_, ctx);
+  return RunPassPipeline(passes_, ctx, first_pass);
 }
 
 Result<PlannedQuery> QueryService::PlanSql(
@@ -33,6 +33,26 @@ Result<PlannedQuery> QueryService::Plan(const BoundQuery& query,
   ctx.bound = true;
   ctx.constraint = constraint;
   COSTDB_RETURN_NOT_OK(RunOn(&ctx));
+  return std::move(ctx.best);
+}
+
+Result<PlannedQuery> QueryService::PlanShaped(
+    const BoundQuery& query, const LogicalPlanPtr& logical,
+    const UserConstraint& constraint) const {
+  size_t first = 0;
+  while (first < passes_.size() &&
+         std::string(passes_[first]->name()) != "physical_plan") {
+    ++first;
+  }
+  if (first == passes_.size()) {
+    return Status::NotFound("PlanShaped: no physical_plan stage");
+  }
+  QueryPlanContext ctx;
+  ctx.query = query;
+  ctx.bound = true;
+  ctx.constraint = constraint;
+  ctx.variants.push_back(BushyVariant{logical, 0});
+  COSTDB_RETURN_NOT_OK(RunOn(&ctx, first));
   return std::move(ctx.best);
 }
 

@@ -10,10 +10,9 @@ namespace costdb {
 
 /// Owns the optimizer pass pipeline and turns SQL (or a pre-bound query)
 /// into a PlannedQuery against a shared cost estimator. This is the single
-/// planning entry of the service layer: the Database facade, the sim
-/// harness, and the What-If Service all plan through a QueryService (or
-/// through a custom pass pipeline spliced from the same stages) instead of
-/// hand-wiring binder/planner objects.
+/// planning entry: the Database facade, benches and tests plan through a
+/// QueryService (the What-If Service runs a custom pass pipeline spliced
+/// from the same stages) instead of hand-wiring binder/planner objects.
 class QueryService {
  public:
   QueryService(const MetadataService* meta, const CostEstimator* estimator,
@@ -35,6 +34,15 @@ class QueryService {
   /// constraints.
   Result<PlannedQuery> Plan(const BoundQuery& query,
                             const UserConstraint& constraint) const;
+
+  /// Plan one already-shaped logical plan: the stages before
+  /// physical_plan (binding and join-shape exploration) are skipped, and
+  /// the rest of the pipeline runs on `logical` alone — used by
+  /// experiments that pin the shape. NotFound when the pipeline has no
+  /// physical_plan stage.
+  Result<PlannedQuery> PlanShaped(const BoundQuery& query,
+                                  const LogicalPlanPtr& logical,
+                                  const UserConstraint& constraint) const;
 
   /// Bind only (no planning): name/type resolution against the catalog.
   Result<BoundQuery> Bind(const std::string& sql) const;
@@ -58,7 +66,7 @@ class QueryService {
   const BiObjectiveOptions& options() const { return options_; }
 
  private:
-  Status RunOn(QueryPlanContext* ctx) const;
+  Status RunOn(QueryPlanContext* ctx, size_t first_pass = 0) const;
 
   const MetadataService* meta_;
   const CostEstimator* estimator_;

@@ -1,25 +1,9 @@
 #include "sim/harness.h"
 
 #include <algorithm>
-
-#include "optimizer/passes.h"
+#include <map>
 
 namespace costdb {
-
-Result<PreparedQuery> PrepareQuery(const MetadataService* meta,
-                                   const BiObjectiveOptimizer& optimizer,
-                                   const std::string& sql,
-                                   const UserConstraint& constraint) {
-  PreparedQuery out;
-  COSTDB_ASSIGN_OR_RETURN(out.query, BindSql(meta, sql));
-  PlannedQuery planned;
-  COSTDB_ASSIGN_OR_RETURN(planned, optimizer.Plan(out.query, constraint));
-  out.planned = std::move(planned);
-  CardinalityEstimator truth_cards(meta, &out.query.relations,
-                                   /*use_true_stats=*/true);
-  out.truth = ComputeVolumes(out.planned.plan.get(), truth_cards);
-  return out;
-}
 
 namespace {
 

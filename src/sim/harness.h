@@ -10,18 +10,13 @@ namespace costdb {
 
 /// Everything needed to simulate one planned query: the bound query (kept
 /// alive for its relation handles), the bi-objective plan, and the
-/// ground-truth volumes the simulator executes against.
+/// ground-truth volumes the simulator executes against. Database::Prepare
+/// builds one from SQL.
 struct PreparedQuery {
   BoundQuery query;
   PlannedQuery planned;
   VolumeMap truth;
 };
-
-/// Bind + bi-objective-plan + derive true volumes for one SQL query.
-Result<PreparedQuery> PrepareQuery(const MetadataService* meta,
-                                   const BiObjectiveOptimizer& optimizer,
-                                   const std::string& sql,
-                                   const UserConstraint& constraint);
 
 /// Simulate a prepared query on a fresh CloudEnv under `policy`; the
 /// returned SimResult's dollars are exactly this query's bill.

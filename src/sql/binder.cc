@@ -261,6 +261,12 @@ Result<ExprPtr> Binder::BindExpr(const ParsedExpr& e, const Scope& scope) {
       if (op == "or") return Expr::MakeOr({std::move(l), std::move(r)});
       if (op == "like") {
         if (IsUnresolvedParam(l)) ResolveParam(l, LogicalType::kVarchar);
+        // The LIKE kernels read string payloads only.
+        if (l->type != LogicalType::kVarchar) {
+          return Status::InvalidArgument(
+              std::string("LIKE requires a VARCHAR operand, got ") +
+              LogicalTypeName(l->type));
+        }
         if (r->kind != Expr::Kind::kConstant || !r->constant.is_string()) {
           return Status::NotSupported("LIKE requires a string literal pattern");
         }

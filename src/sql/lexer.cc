@@ -1,6 +1,7 @@
 #include "sql/lexer.h"
 
 #include <cctype>
+#include <charconv>
 
 namespace costdb {
 
@@ -38,12 +39,18 @@ Result<std::vector<Token>> Tokenize(const std::string& sql) {
         while (i < n && std::isdigit(static_cast<unsigned char>(sql[i]))) ++i;
       }
       std::string text = sql.substr(start, i - start);
+      const char* end = text.data() + text.size();
+      std::from_chars_result parsed;
       if (is_float) {
         t.kind = TokenKind::kFloat;
-        t.float_val = std::stod(text);
+        parsed = std::from_chars(text.data(), end, t.float_val);
       } else {
         t.kind = TokenKind::kInt;
-        t.int_val = std::stoll(text);
+        parsed = std::from_chars(text.data(), end, t.int_val);
+      }
+      if (parsed.ec != std::errc() || parsed.ptr != end) {
+        return Status::InvalidArgument("numeric literal out of range at offset " +
+                                       std::to_string(t.offset));
       }
       t.text = std::move(text);
       tokens.push_back(std::move(t));

@@ -8,7 +8,7 @@
 #include "cost/calibration_updater.h"
 #include "exec/sharded_engine.h"
 #include "cost/cost_model.h"
-#include "optimizer/optimizer.h"
+#include "service/query_service.h"
 #include "workload/ssb.h"
 
 namespace costdb {
@@ -23,25 +23,16 @@ class CostTest : public ::testing::Test {
     node_ = PricingCatalog::Default().default_node();
   }
 
-  /// Plan a query and return (plan, graph, volumes) through the estimator.
-  struct Planned {
-    PhysicalPlanPtr plan;
-    PipelineGraph graph;
-    VolumeMap volumes;
-  };
-  Planned Prepare(const std::string& sql) {
-    Optimizer opt(&meta_);
-    Binder binder(&meta_);
-    auto query = binder.BindSql(sql);
-    EXPECT_TRUE(query.ok()) << query.status().ToString();
-    auto plan = opt.OptimizeQuery(*query);
-    EXPECT_TRUE(plan.ok()) << plan.status().ToString();
-    Planned out;
-    out.plan = *plan;
-    out.graph = BuildPipelines(out.plan.get());
-    CardinalityEstimator cards(&meta_, &query->relations);
-    out.volumes = ComputeVolumes(out.plan.get(), cards);
-    return out;
+  /// Plan a query left-deep and unfused; the result carries the plan,
+  /// its pipelines and the believed volumes the estimator prices.
+  PlannedQuery Prepare(const std::string& sql) {
+    CostEstimator estimator(&hw_, &node_);
+    QueryService planner(&meta_, &estimator);
+    planner.RemovePass("bushy_rewrite");
+    planner.RemovePass("fuse_kernels");
+    auto planned = planner.PlanSql(sql, UserConstraint());
+    EXPECT_TRUE(planned.ok()) << planned.status().ToString();
+    return planned.ok() ? std::move(*planned) : PlannedQuery{};
   }
 
   MetadataService meta_;
@@ -63,7 +54,7 @@ TEST_F(CostTest, ScanModelScalesLinearly) {
   auto planned = Prepare(FindQuery("Q1").sql);
   // Q1 is scan->agg: the feeder pipeline is scan-dominated.
   CostEstimator est(&hw_, &node_);
-  const Pipeline& feeder = planned.graph.pipelines[0];
+  const Pipeline& feeder = planned.pipelines.pipelines[0];
   Seconds t1 = est.PipelineDuration(feeder, 1, planned.volumes);
   Seconds t8 = est.PipelineDuration(feeder, 8, planned.volumes);
   EXPECT_GT(t1, t8);
@@ -176,12 +167,12 @@ TEST_F(CostTest, EstimatePlanProducesPositiveCost) {
   auto planned = Prepare(FindQuery("Q5").sql);
   CostEstimator est(&hw_, &node_);
   DopMap dops;
-  for (const auto& p : planned.graph.pipelines) dops[p.id] = 4;
-  auto e = est.EstimatePlan(planned.graph, dops, planned.volumes);
+  for (const auto& p : planned.pipelines.pipelines) dops[p.id] = 4;
+  auto e = est.EstimatePlan(planned.pipelines, dops, planned.volumes);
   EXPECT_GT(e.latency, 0.0);
   EXPECT_GT(e.cost, 0.0);
   EXPECT_GE(e.machine_seconds, e.latency);  // >=1 node the whole time
-  EXPECT_EQ(e.pipelines.size(), planned.graph.pipelines.size());
+  EXPECT_EQ(e.pipelines.size(), planned.pipelines.pipelines.size());
 }
 
 // Property sweep: for a scan-dominated pipeline, doubling DOP divides
@@ -194,7 +185,7 @@ TEST_P(ElasticityProperty, ScanMachineTimeInvariant) {
   meta_.SetStatsErrorFactor("lineorder", 1e5);  // warehouse-sized volumes
   auto planned = Prepare("SELECT sum(lo_revenue) FROM lineorder");
   CostEstimator est(&hw_, &node_);
-  const Pipeline& feeder = planned.graph.pipelines[0];
+  const Pipeline& feeder = planned.pipelines.pipelines[0];
   int dop = GetParam();
   Seconds t1 = est.PipelineDuration(feeder, 1, planned.volumes);
   Seconds td = est.PipelineDuration(feeder, dop, planned.volumes);
@@ -213,15 +204,14 @@ TEST_F(CostTest, VolumesEstimateVsTruthDivergeUnderInjectedError) {
   Binder binder(&meta_);
   auto query = binder.BindSql(FindQuery("Q3").sql);
   ASSERT_TRUE(query.ok());
-  Optimizer opt(&meta_);
-  auto plan = opt.OptimizeQuery(*query);
-  ASSERT_TRUE(plan.ok());
+  PlannedQuery planned = Prepare(FindQuery("Q3").sql);
+  ASSERT_NE(planned.plan, nullptr);
   meta_.SetStatsErrorFactor("lineorder", 4.0);
   CardinalityEstimator served(&meta_, &query->relations);
   CardinalityEstimator truth(&meta_, &query->relations,
                              /*use_true_stats=*/true);
-  auto v_served = ComputeVolumes(plan->get(), served);
-  auto v_truth = ComputeVolumes(plan->get(), truth);
+  auto v_served = ComputeVolumes(planned.plan.get(), served);
+  auto v_truth = ComputeVolumes(planned.plan.get(), truth);
   // Scan volumes (not the 1-row aggregate output) must diverge ~4x.
   std::function<const PhysicalPlan*(const PhysicalPlan*)> find_scan =
       [&](const PhysicalPlan* p) -> const PhysicalPlan* {
@@ -234,7 +224,7 @@ TEST_F(CostTest, VolumesEstimateVsTruthDivergeUnderInjectedError) {
     }
     return nullptr;
   };
-  const PhysicalPlan* scan = find_scan(plan->get());
+  const PhysicalPlan* scan = find_scan(planned.plan.get());
   meta_.SetStatsErrorFactor("lineorder", 1.0);
   ASSERT_NE(scan, nullptr);
   double ratio = v_served.at(scan).source_rows / v_truth.at(scan).source_rows;

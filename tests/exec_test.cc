@@ -2,7 +2,7 @@
 
 #include "exec/engine.h"
 #include "exec/evaluator.h"
-#include "optimizer/optimizer.h"
+#include "service/database.h"
 
 namespace costdb {
 namespace {
@@ -44,19 +44,23 @@ class ExecTest : public ::testing::Test {
     meta_.RegisterTable(orders);
     meta_.RegisterTable(customer);
     meta_.AnalyzeAll();
+    // Left-deep, unfused plans: the engine's interpreted operators run on
+    // the DAG planner's shape.
+    db_.query_service()->RemovePass("bushy_rewrite");
+    db_.query_service()->RemovePass("fuse_kernels");
   }
 
   QueryResult Run(const std::string& sql, size_t threads = 4) {
-    Optimizer opt(&meta_);
-    auto plan = opt.OptimizeSql(sql);
-    EXPECT_TRUE(plan.ok()) << sql << " -> " << plan.status().ToString();
+    auto planned = db_.query_service()->PlanSql(sql, UserConstraint());
+    EXPECT_TRUE(planned.ok()) << sql << " -> " << planned.status().ToString();
     LocalEngine engine(threads);
-    auto result = engine.Execute(plan->get());
+    auto result = engine.Execute(planned->plan.get());
     EXPECT_TRUE(result.ok()) << sql << " -> " << result.status().ToString();
     return result.ok() ? std::move(*result) : QueryResult{};
   }
 
-  MetadataService meta_;
+  Database db_;
+  MetadataService& meta_ = *db_.meta();
 };
 
 TEST_F(ExecTest, ScanAll) {

@@ -1,8 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "exec/engine.h"
-#include "optimizer/bi_objective.h"
-#include "optimizer/optimizer.h"
+#include "service/query_service.h"
 #include "workload/ssb.h"
 
 namespace costdb {
@@ -25,6 +24,17 @@ class OptimizerTest : public ::testing::Test {
     return q.ok() ? std::move(*q) : BoundQuery{};
   }
 
+  /// The DAG planner's left-deep, unfused plan with its pipelines and
+  /// believed volumes, for tests that drive the DOP planner by hand.
+  PlannedQuery LeftDeep(const std::string& sql) {
+    QueryService shaper(&meta_, estimator_.get());
+    shaper.RemovePass("bushy_rewrite");
+    shaper.RemovePass("fuse_kernels");
+    auto planned = shaper.PlanSql(sql, UserConstraint());
+    EXPECT_TRUE(planned.ok()) << planned.status().ToString();
+    return planned.ok() ? std::move(*planned) : PlannedQuery{};
+  }
+
   MetadataService meta_;
   HardwareCalibration hw_;
   InstanceType node_;
@@ -32,7 +42,7 @@ class OptimizerTest : public ::testing::Test {
 };
 
 TEST_F(OptimizerTest, SlaModeMeetsFeasibleSla) {
-  BiObjectiveOptimizer opt(&meta_, estimator_.get());
+  QueryService opt(&meta_, estimator_.get());
   auto loose = opt.PlanSql(FindQuery("Q5").sql, UserConstraint::Sla(1e6));
   ASSERT_TRUE(loose.ok()) << loose.status().ToString();
   EXPECT_TRUE(loose->feasible);
@@ -40,7 +50,7 @@ TEST_F(OptimizerTest, SlaModeMeetsFeasibleSla) {
 }
 
 TEST_F(OptimizerTest, TighterSlaCostsMore) {
-  BiObjectiveOptimizer opt(&meta_, estimator_.get());
+  QueryService opt(&meta_, estimator_.get());
   auto loose = opt.PlanSql(FindQuery("Q7").sql, UserConstraint::Sla(1e5));
   ASSERT_TRUE(loose.ok());
   Seconds relaxed_latency = loose->estimate.latency;
@@ -54,14 +64,14 @@ TEST_F(OptimizerTest, TighterSlaCostsMore) {
 }
 
 TEST_F(OptimizerTest, ImpossibleSlaReportedInfeasible) {
-  BiObjectiveOptimizer opt(&meta_, estimator_.get());
+  QueryService opt(&meta_, estimator_.get());
   auto r = opt.PlanSql(FindQuery("Q8").sql, UserConstraint::Sla(1e-9));
   ASSERT_TRUE(r.ok());
   EXPECT_FALSE(r->feasible);
 }
 
 TEST_F(OptimizerTest, BudgetModeRespectsBudget) {
-  BiObjectiveOptimizer opt(&meta_, estimator_.get());
+  QueryService opt(&meta_, estimator_.get());
   // Floor: the cheapest possible execution (every DOP at 1).
   auto floor = opt.PlanSql(FindQuery("Q7").sql, UserConstraint::Budget(0.0));
   ASSERT_TRUE(floor.ok());
@@ -80,7 +90,7 @@ TEST_F(OptimizerTest, BudgetModeRespectsBudget) {
 }
 
 TEST_F(OptimizerTest, LargerBudgetNeverSlower) {
-  BiObjectiveOptimizer opt(&meta_, estimator_.get());
+  QueryService opt(&meta_, estimator_.get());
   Seconds prev_latency = 1e18;
   for (Dollars budget : {1e-5, 1e-4, 1e-3, 1e-2}) {
     auto r = opt.PlanSql(FindQuery("Q5").sql, UserConstraint::Budget(budget));
@@ -93,13 +103,10 @@ TEST_F(OptimizerTest, LargerBudgetNeverSlower) {
 
 TEST_F(OptimizerTest, CoTerminationReducesBlockedTime) {
   // Q7 has several concurrent build pipelines -> blocking waste exists.
-  BoundQuery q = Bind(FindQuery("Q7").sql);
-  Optimizer shaper(&meta_);
-  auto plan = shaper.OptimizeQuery(q);
-  ASSERT_TRUE(plan.ok());
-  PipelineGraph graph = BuildPipelines(plan->get());
-  CardinalityEstimator cards(&meta_, &q.relations);
-  VolumeMap volumes = ComputeVolumes(plan->get(), cards);
+  PlannedQuery shaped = LeftDeep(FindQuery("Q7").sql);
+  ASSERT_NE(shaped.plan, nullptr);
+  const PipelineGraph& graph = shaped.pipelines;
+  const VolumeMap& volumes = shaped.volumes;
 
   DopPlannerOptions with;
   with.use_cotermination = true;
@@ -117,13 +124,10 @@ TEST_F(OptimizerTest, CoTerminationReducesBlockedTime) {
 TEST_F(OptimizerTest, ConstrainedSearchNearParetoOracle) {
   // On a small plan, exhaustive Pareto enumeration is feasible; the
   // constrained greedy must land near the frontier point.
-  BoundQuery q = Bind(FindQuery("Q3").sql);
-  Optimizer shaper(&meta_);
-  auto plan = shaper.OptimizeQuery(q);
-  ASSERT_TRUE(plan.ok());
-  PipelineGraph graph = BuildPipelines(plan->get());
-  CardinalityEstimator cards(&meta_, &q.relations);
-  VolumeMap volumes = ComputeVolumes(plan->get(), cards);
+  PlannedQuery shaped = LeftDeep(FindQuery("Q3").sql);
+  ASSERT_NE(shaped.plan, nullptr);
+  const PipelineGraph& graph = shaped.pipelines;
+  const VolumeMap& volumes = shaped.volumes;
 
   DopPlannerOptions opts;
   opts.max_dop = 16;  // keep the oracle tractable
@@ -188,7 +192,7 @@ TEST_F(OptimizerTest, BushyNotProducedForTwoRelations) {
 }
 
 TEST_F(OptimizerTest, PlannedQueryExecutesCorrectly) {
-  BiObjectiveOptimizer opt(&meta_, estimator_.get());
+  QueryService opt(&meta_, estimator_.get());
   auto planned = opt.PlanSql(FindQuery("Q6").sql, UserConstraint::Sla(60.0));
   ASSERT_TRUE(planned.ok());
   LocalEngine engine(4);
@@ -198,7 +202,7 @@ TEST_F(OptimizerTest, PlannedQueryExecutesCorrectly) {
 }
 
 TEST_F(OptimizerTest, DopsCoverEveryPipeline) {
-  BiObjectiveOptimizer opt(&meta_, estimator_.get());
+  QueryService opt(&meta_, estimator_.get());
   auto planned = opt.PlanSql(FindQuery("Q8").sql, UserConstraint::Sla(10.0));
   ASSERT_TRUE(planned.ok());
   for (const auto& p : planned->pipelines.pipelines) {

@@ -1,7 +1,7 @@
 #include <gtest/gtest.h>
 
-#include "optimizer/optimizer.h"
 #include "plan/pipeline.h"
+#include "service/database.h"
 
 namespace costdb {
 namespace {
@@ -25,6 +25,9 @@ class PlanTest : public ::testing::Test {
     RegisterDim("dim1", 100);
     RegisterDim("dim2", 50);
     meta_.AnalyzeAll();
+    // Pin the DAG planner's left-deep, unfused shape under test.
+    db_.query_service()->RemovePass("bushy_rewrite");
+    db_.query_service()->RemovePass("fuse_kernels");
   }
 
   void RegisterDim(const std::string& name, int64_t rows) {
@@ -38,13 +41,13 @@ class PlanTest : public ::testing::Test {
   }
 
   PhysicalPlanPtr Plan(const std::string& sql) {
-    Optimizer opt(&meta_);
-    auto plan = opt.OptimizeSql(sql);
-    EXPECT_TRUE(plan.ok()) << plan.status().ToString();
-    return plan.ok() ? *plan : nullptr;
+    auto planned = db_.query_service()->PlanSql(sql, UserConstraint());
+    EXPECT_TRUE(planned.ok()) << planned.status().ToString();
+    return planned.ok() ? planned->plan : nullptr;
   }
 
-  MetadataService meta_;
+  Database db_;
+  MetadataService& meta_ = *db_.meta();
 };
 
 /// Collect nodes of a kind in the plan tree.

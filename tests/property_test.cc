@@ -4,8 +4,7 @@
 
 #include "common/rng.h"
 #include "exec/engine.h"
-#include "optimizer/bi_objective.h"
-#include "optimizer/optimizer.h"
+#include "service/database.h"
 #include "workload/ssb.h"
 
 namespace costdb {
@@ -81,27 +80,30 @@ INSTANTIATE_TEST_SUITE_P(Seeds, HistogramProperty, ::testing::Range(1, 6));
 // ---------------------------------------------------------------------
 class QuerySuiteProperty : public ::testing::TestWithParam<int> {
  protected:
-  static MetadataService* Meta() {
-    static MetadataService* meta = [] {
-      auto* m = new MetadataService();
+  /// Shared SSB facade whose planner emits the DAG planner's left-deep,
+  /// unfused plans.
+  static Database* Db() {
+    static Database* db = [] {
+      auto* d = new Database();
       SsbOptions opts;
       opts.scale = 0.004;
-      LoadSsb(m, opts);
-      return m;
+      LoadSsb(d->meta(), opts);
+      d->query_service()->RemovePass("bushy_rewrite");
+      d->query_service()->RemovePass("fuse_kernels");
+      return d;
     }();
-    return meta;
+    return db;
   }
 };
 
 TEST_P(QuerySuiteProperty, ThreadCountInvariant) {
   const QueryTemplate q = SsbQueries()[static_cast<size_t>(GetParam())];
-  Optimizer opt(Meta());
-  auto plan = opt.OptimizeSql(q.sql);
-  ASSERT_TRUE(plan.ok()) << q.id << ": " << plan.status().ToString();
+  auto planned = Db()->query_service()->PlanSql(q.sql, UserConstraint());
+  ASSERT_TRUE(planned.ok()) << q.id << ": " << planned.status().ToString();
   LocalEngine serial(1);
   LocalEngine parallel(8);
-  auto r1 = serial.Execute(plan->get());
-  auto r8 = parallel.Execute(plan->get());
+  auto r1 = serial.Execute(planned->plan.get());
+  auto r8 = parallel.Execute(planned->plan.get());
   ASSERT_TRUE(r1.ok()) << q.id;
   ASSERT_TRUE(r8.ok()) << q.id;
   EXPECT_EQ(r1->chunk.ToString(-1), r8->chunk.ToString(-1)) << q.id;
@@ -133,7 +135,7 @@ class PlannerMonotonicity : public ::testing::TestWithParam<const char*> {
 };
 
 TEST_P(PlannerMonotonicity, LooserSlaNeverCostsMore) {
-  BiObjectiveOptimizer opt(&meta_, estimator_.get());
+  QueryService opt(&meta_, estimator_.get());
   const std::string sql = FindQuery(GetParam()).sql;
   Dollars prev_cost = -1.0;
   for (Seconds sla : {2.0, 8.0, 32.0, 128.0}) {
@@ -148,19 +150,16 @@ TEST_P(PlannerMonotonicity, LooserSlaNeverCostsMore) {
 }
 
 TEST_P(PlannerMonotonicity, FrontierIsNonDominated) {
-  Binder binder(&meta_);
-  auto q = binder.BindSql(FindQuery(GetParam()).sql);
-  ASSERT_TRUE(q.ok());
-  Optimizer shaper(&meta_);
-  auto plan = shaper.OptimizeQuery(*q);
-  ASSERT_TRUE(plan.ok());
-  PipelineGraph graph = BuildPipelines(plan->get());
-  CardinalityEstimator cards(&meta_, &q->relations);
-  VolumeMap volumes = ComputeVolumes(plan->get(), cards);
+  QueryService shaper(&meta_, estimator_.get());
+  shaper.RemovePass("bushy_rewrite");
+  shaper.RemovePass("fuse_kernels");
+  auto planned = shaper.PlanSql(FindQuery(GetParam()).sql, UserConstraint());
+  ASSERT_TRUE(planned.ok());
   DopPlannerOptions opts;
   opts.max_dop = 8;  // keep the enumeration quick
   DopPlanner planner(estimator_.get(), opts);
-  auto frontier = planner.EnumeratePareto(graph, volumes, nullptr);
+  auto frontier =
+      planner.EnumeratePareto(planned->pipelines, planned->volumes, nullptr);
   for (size_t i = 0; i < frontier.size(); ++i) {
     for (size_t j = 0; j < frontier.size(); ++j) {
       if (i == j) continue;

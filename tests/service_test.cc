@@ -5,7 +5,6 @@
 #include <thread>
 
 #include "exec/engine.h"
-#include "optimizer/optimizer.h"
 #include "service/session.h"
 #include "workload/ssb.h"
 
@@ -64,12 +63,15 @@ TEST(DatabaseTest, ExecuteSqlMatchesDirectLocalEngineRun) {
     ASSERT_TRUE(via_facade.ok()) << id << ": "
                                  << via_facade.status().ToString();
 
-    // The historical hand-wired path: optimizer front door + engine.
-    Optimizer direct_opt(db->meta());
-    auto plan = direct_opt.OptimizeSql(sql);
-    ASSERT_TRUE(plan.ok()) << id;
+    // A hand-wired path: the DAG planner's left-deep, unfused plan run
+    // straight on a LocalEngine.
+    QueryService direct_opt(db->meta(), db->estimator());
+    direct_opt.RemovePass("bushy_rewrite");
+    direct_opt.RemovePass("fuse_kernels");
+    auto planned = direct_opt.PlanSql(sql, UserConstraint());
+    ASSERT_TRUE(planned.ok()) << id;
     LocalEngine engine(4);
-    auto direct = engine.Execute(plan->get());
+    auto direct = engine.Execute(planned->plan.get());
     ASSERT_TRUE(direct.ok()) << id;
 
     EXPECT_EQ(via_facade->result.chunk.num_rows(), direct->chunk.num_rows())
@@ -77,6 +79,37 @@ TEST(DatabaseTest, ExecuteSqlMatchesDirectLocalEngineRun) {
     // Sorted: the facade may pick a bushier join shape whose (equivalent)
     // output order differs for queries without a total ORDER BY.
     EXPECT_EQ(RenderSorted(via_facade->result), RenderSorted(*direct)) << id;
+  }
+}
+
+TEST(DatabaseTest, LikeOnNonStringIsInvalidArgument) {
+  auto db = MakeSsbDatabase();
+  for (const char* sql :
+       {"SELECT lo_orderkey FROM lineorder WHERE lo_quantity LIKE '4%'",
+        "SELECT lo_quantity LIKE '4%' FROM lineorder"}) {
+    auto r = db->ExecuteSql(sql);
+    ASSERT_FALSE(r.ok()) << sql;
+    EXPECT_TRUE(r.status().IsInvalidArgument()) << r.status().ToString();
+  }
+  // A string operand and a placeholder still bind.
+  EXPECT_TRUE(
+      db->ExecuteSql("SELECT c_name FROM customer WHERE c_name LIKE 'C%'")
+          .ok());
+  EXPECT_TRUE(db->BindSql("SELECT c_name FROM customer WHERE ? LIKE 'C%'")
+                  .ok());
+}
+
+TEST(DatabaseTest, OverflowingNumericLiteralIsInvalidArgument) {
+  auto db = MakeSsbDatabase();
+  const std::string huge_float = std::string(400, '9') + ".5";
+  for (const std::string& sql :
+       {std::string("SELECT lo_orderkey FROM lineorder WHERE lo_orderkey = "
+                    "99999999999999999999"),
+        "SELECT lo_orderkey FROM lineorder WHERE lo_revenue > " +
+            huge_float}) {
+    auto r = db->ExecuteSql(sql);
+    ASSERT_FALSE(r.ok()) << sql;
+    EXPECT_TRUE(r.status().IsInvalidArgument()) << r.status().ToString();
   }
 }
 

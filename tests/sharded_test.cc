@@ -3,18 +3,6 @@
 #include <cmath>
 
 #include "chunk_testing.h"
-
-// Process-mode runs fork one child per worker; TSan's runtime does not
-// support fork-then-continue children and reports spurious races, so the
-// process-mode matrix legs skip under it.
-#if defined(__SANITIZE_THREAD__)
-#define COSTDB_TSAN 1
-#elif defined(__has_feature)
-#if __has_feature(thread_sanitizer)
-#define COSTDB_TSAN 1
-#endif
-#endif
-
 #include "common/rng.h"
 #include "exec/sharded_engine.h"
 #include "service/database.h"
@@ -760,21 +748,20 @@ TEST_F(ShardedTest, ShuffleCalibrationTightensWithObservations) {
   EXPECT_NE(db.calibration().shuffle_total_scale(), 1.0);
 }
 
-TEST_F(ShardedTest, BitIdenticalAcrossTransportsAndWorkerModes) {
+TEST_F(ShardedTest, BitIdenticalAcrossTransports) {
   // The full distribution matrix: {in-process, socket} transports x
-  // {threads, processes} worker modes x {1, 2, 4, 7} widths. At a fixed
-  // width, the transport serializes every moved partition through the
-  // checksummed wire format and process mode ships whole fragment results
-  // between address spaces — neither may change a single byte relative to
-  // the in-process/threads engine at that width, even for plans whose
-  // double aggregates are association-sensitive. Order-stable plans (no
-  // floating-point re-association across partials) must additionally match
-  // the LocalEngine reference at every width.
+  // {1, 2, 4, 7} widths. At a fixed width, the socket transport serializes
+  // every moved partition through the checksummed wire format — that may
+  // not change a single byte relative to the in-process engine at that
+  // width, even for plans whose double aggregates are
+  // association-sensitive. Order-stable plans (no floating-point
+  // re-association across partials) must additionally match the
+  // LocalEngine reference at every width.
   struct MatrixQuery {
     std::string sql;
     // sum(amount) over doubles re-associates across worker partials, so
     // its result is a function of the partitioning width; it still must be
-    // invariant to transport and worker mode at any given width.
+    // invariant to transport at any given width.
     bool order_stable;
   };
   const MatrixQuery queries[] = {
@@ -794,8 +781,8 @@ TEST_F(ShardedTest, BitIdenticalAcrossTransportsAndWorkerModes) {
     auto reference = local.Execute(planned->plan.get());
     ASSERT_TRUE(reference.ok());
     for (size_t workers : {1u, 2u, 4u, 7u}) {
-      // The width-reference leg every other transport x mode combination
-      // must reproduce byte-for-byte.
+      // The in-process width-reference leg the socket transport must
+      // reproduce byte-for-byte.
       ShardedEngineOptions base_options;
       base_options.workers = workers;
       ShardedEngine base_engine(base_options);
@@ -808,34 +795,16 @@ TEST_F(ShardedTest, BitIdenticalAcrossTransportsAndWorkerModes) {
             << q.sql << " diverged from LocalEngine @" << workers << ": "
             << why;
       }
-      for (TransportKind transport :
-           {TransportKind::kInProcess, TransportKind::kSocket}) {
-        for (WorkerMode mode :
-             {WorkerMode::kThreads, WorkerMode::kProcesses}) {
-#ifdef COSTDB_TSAN
-          if (mode == WorkerMode::kProcesses) continue;
-#endif
-          if (transport == TransportKind::kInProcess &&
-              mode == WorkerMode::kThreads) {
-            continue;  // that is the width-reference leg itself
-          }
-          ShardedEngineOptions options;
-          options.workers = workers;
-          options.transport = transport;
-          options.worker_mode = mode;
-          ShardedEngine engine(options);
-          auto result = engine.Execute(planned->plan.get());
-          ASSERT_TRUE(result.ok())
-              << q.sql << " @" << workers << " " << TransportName(transport)
-              << "/" << WorkerModeName(mode) << ": "
-              << result.status().ToString();
-          std::string why;
-          EXPECT_TRUE(ChunksBitIdentical(base->chunk, result->chunk, &why))
-              << q.sql << " diverged @" << workers << " "
-              << TransportName(transport) << "/" << WorkerModeName(mode)
-              << ": " << why;
-        }
-      }
+      ShardedEngineOptions options;
+      options.workers = workers;
+      options.transport = TransportKind::kSocket;
+      ShardedEngine engine(options);
+      auto result = engine.Execute(planned->plan.get());
+      ASSERT_TRUE(result.ok()) << q.sql << " @" << workers
+                               << " socket: " << result.status().ToString();
+      std::string why;
+      EXPECT_TRUE(ChunksBitIdentical(base->chunk, result->chunk, &why))
+          << q.sql << " diverged @" << workers << " socket: " << why;
     }
   }
 }

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "runtime/policies.h"
+#include "service/database.h"
 #include "sim/harness.h"
 #include "workload/ssb.h"
 
@@ -18,11 +19,6 @@ class SimTest : public ::testing::Test {
     // dimensions stay small, as in a real star schema.
     meta_.SetVirtualScale("lineorder", 200000.0);
     meta_.SetVirtualScale("shipments", 200000.0);
-    node_ = PricingCatalog::Default().default_node();
-    estimator_ = std::make_unique<CostEstimator>(&hw_, &node_);
-    simulator_ = std::make_unique<DistributedSimulator>(estimator_.get());
-    optimizer_ = std::make_unique<BiObjectiveOptimizer>(&meta_,
-                                                        estimator_.get());
   }
 
   /// Make the optimizer see stats `factor`x off from the truth for the
@@ -31,17 +27,15 @@ class SimTest : public ::testing::Test {
     meta_.SetStatsErrorFactor("lineorder", factor);
   }
 
-  MetadataService meta_;
-  HardwareCalibration hw_;
-  InstanceType node_;
-  std::unique_ptr<CostEstimator> estimator_;
-  std::unique_ptr<DistributedSimulator> simulator_;
-  std::unique_ptr<BiObjectiveOptimizer> optimizer_;
+  Database db_;
+  MetadataService& meta_ = *db_.meta();
+  const CostEstimator* estimator_ = db_.estimator();
+  const DistributedSimulator* simulator_ = db_.simulator();
 };
 
 TEST_F(SimTest, StaticPolicyRunsToCompletion) {
   UserConstraint sla = UserConstraint::Sla(120.0);
-  auto prepared = PrepareQuery(&meta_, *optimizer_, FindQuery("Q5").sql, sla);
+  auto prepared = db_.Prepare(FindQuery("Q5").sql, sla);
   ASSERT_TRUE(prepared.ok()) << prepared.status().ToString();
   StaticPolicy policy;
   SimResult r = SimulateQuery(*prepared, *simulator_, &policy, sla);
@@ -54,7 +48,7 @@ TEST_F(SimTest, StaticPolicyRunsToCompletion) {
 
 TEST_F(SimTest, DeterministicAcrossRuns) {
   UserConstraint sla = UserConstraint::Sla(120.0);
-  auto prepared = PrepareQuery(&meta_, *optimizer_, FindQuery("Q3").sql, sla);
+  auto prepared = db_.Prepare(FindQuery("Q3").sql, sla);
   ASSERT_TRUE(prepared.ok());
   StaticPolicy p1, p2;
   SimResult a = SimulateQuery(*prepared, *simulator_, &p1, sla);
@@ -65,7 +59,7 @@ TEST_F(SimTest, DeterministicAcrossRuns) {
 
 TEST_F(SimTest, TrueDurationIncludesSkewAndQuantization) {
   UserConstraint sla = UserConstraint::Sla(120.0);
-  auto prepared = PrepareQuery(&meta_, *optimizer_, FindQuery("Q1").sql, sla);
+  auto prepared = db_.Prepare(FindQuery("Q1").sql, sla);
   ASSERT_TRUE(prepared.ok());
   const Pipeline& p = prepared->planned.pipelines.pipelines[0];
   Seconds model = estimator_->PipelineDuration(p, 8, prepared->truth);
@@ -77,7 +71,7 @@ TEST_F(SimTest, TrueDurationIncludesSkewAndQuantization) {
 TEST_F(SimTest, AccurateStatsMeetSla) {
   // With truthful statistics the static plan should satisfy a feasible SLA.
   UserConstraint sla = UserConstraint::Sla(60.0);
-  auto prepared = PrepareQuery(&meta_, *optimizer_, FindQuery("Q5").sql, sla);
+  auto prepared = db_.Prepare(FindQuery("Q5").sql, sla);
   ASSERT_TRUE(prepared.ok());
   ASSERT_TRUE(prepared->planned.feasible);
   StaticPolicy policy;
@@ -90,7 +84,7 @@ TEST_F(SimTest, UnderestimationBreaksStaticButMonitorRecovers) {
   // The optimizer believes the fact table is 8x smaller than reality, so
   // the static plan just barely meets the SLA in its own belief.
   InjectError(1.0 / 8.0);
-  auto prepared = PrepareQuery(&meta_, *optimizer_, FindQuery("Q5").sql, sla);
+  auto prepared = db_.Prepare(FindQuery("Q5").sql, sla);
   InjectError(1.0);
   ASSERT_TRUE(prepared.ok());
   ASSERT_TRUE(prepared->planned.feasible);
@@ -113,7 +107,7 @@ TEST_F(SimTest, OverestimationStaysWithinSlaAtBoundedCost) {
   // The optimizer believes the fact table is 4x bigger than reality and
   // over-provisions the exchange-heavy pipelines.
   InjectError(4.0);
-  auto prepared = PrepareQuery(&meta_, *optimizer_, FindQuery("Q5").sql, sla);
+  auto prepared = db_.Prepare(FindQuery("Q5").sql, sla);
   InjectError(1.0);
   ASSERT_TRUE(prepared.ok());
   CardinalityEstimator truth_cards(&meta_, &prepared->query.relations, true);
@@ -131,7 +125,7 @@ TEST_F(SimTest, OverestimationStaysWithinSlaAtBoundedCost) {
 
 TEST_F(SimTest, StageBoundaryPaysMaterializationTax) {
   UserConstraint sla = UserConstraint::Sla(60.0);
-  auto prepared = PrepareQuery(&meta_, *optimizer_, FindQuery("Q5").sql, sla);
+  auto prepared = db_.Prepare(FindQuery("Q5").sql, sla);
   ASSERT_TRUE(prepared.ok());
   StageBoundaryPolicy stage(2.0);
   SimResult r = SimulateQuery(*prepared, *simulator_, &stage, sla);
@@ -144,7 +138,7 @@ TEST_F(SimTest, StageBoundaryPaysMaterializationTax) {
 TEST_F(SimTest, ResizeOverheadAccounted) {
   UserConstraint sla = UserConstraint::Sla(20.0);
   InjectError(1.0 / 8.0);
-  auto prepared = PrepareQuery(&meta_, *optimizer_, FindQuery("Q3").sql, sla);
+  auto prepared = db_.Prepare(FindQuery("Q3").sql, sla);
   InjectError(1.0);
   ASSERT_TRUE(prepared.ok());
   CardinalityEstimator truth_cards(&meta_, &prepared->query.relations, true);
@@ -158,7 +152,7 @@ TEST_F(SimTest, ResizeOverheadAccounted) {
 
 TEST_F(SimTest, BilledCostMatchesMachineTimeOrder) {
   UserConstraint sla = UserConstraint::Sla(60.0);
-  auto prepared = PrepareQuery(&meta_, *optimizer_, FindQuery("Q6").sql, sla);
+  auto prepared = db_.Prepare(FindQuery("Q6").sql, sla);
   ASSERT_TRUE(prepared.ok());
   StaticPolicy policy;
   CloudEnv env;

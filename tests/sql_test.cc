@@ -31,6 +31,15 @@ TEST(LexerTest, TwoCharOperators) {
 TEST(LexerTest, Errors) {
   EXPECT_TRUE(Tokenize("SELECT 'oops").status().IsInvalidArgument());
   EXPECT_TRUE(Tokenize("SELECT @x").status().IsInvalidArgument());
+  // Literals past int64 / double range are errors, not exceptions.
+  EXPECT_TRUE(
+      Tokenize("SELECT 99999999999999999999").status().IsInvalidArgument());
+  EXPECT_TRUE(Tokenize("SELECT " + std::string(400, '9') + ".5")
+                  .status()
+                  .IsInvalidArgument());
+  auto max = Tokenize("SELECT 9223372036854775807");
+  ASSERT_TRUE(max.ok());
+  EXPECT_EQ((*max)[1].int_val, INT64_MAX);
 }
 
 TEST(ParserTest, SimpleSelect) {

@@ -12,7 +12,7 @@
 #include "exec/engine.h"
 #include "exec/evaluator.h"
 #include "exec/fused.h"
-#include "optimizer/optimizer.h"
+#include "service/database.h"
 #include "storage/table.h"
 
 namespace costdb {
@@ -671,16 +671,26 @@ class VectorizedEngineTest : public ::testing::Test {
     fact->Append(chunk);
     meta_.RegisterTable(fact);
     meta_.AnalyzeAll();
+    // Left-deep, unfused plans: fusion is annotated by hand below, so an
+    // unannotated plan must stay on the interpreted path.
+    db_.query_service()->RemovePass("bushy_rewrite");
+    db_.query_service()->RemovePass("fuse_kernels");
+  }
+
+  Result<PhysicalPlanPtr> PlanSql(const std::string& sql) {
+    auto planned = db_.query_service()->PlanSql(sql, UserConstraint());
+    if (!planned.ok()) return planned.status();
+    return planned->plan;
   }
 
   Result<QueryResult> Run(const std::string& sql, LocalEngine* engine) {
-    Optimizer opt(&meta_);
-    auto plan = opt.OptimizeSql(sql);
+    auto plan = PlanSql(sql);
     EXPECT_TRUE(plan.ok()) << sql;
     return engine->Execute(plan->get());
   }
 
-  MetadataService meta_;
+  Database db_;
+  MetadataService& meta_ = *db_.meta();
 };
 
 TEST_F(VectorizedEngineTest, SelectivePredicatePrunesMostMorselsAndAgrees) {
@@ -890,8 +900,7 @@ TEST_F(VectorizedEngineTest, FusedScanFilterBitIdenticalToInterpreted) {
   EXPECT_FALSE(plain_engine.last_fused_stats().any_fused())
       << "unannotated plan must stay on the interpreted path";
 
-  Optimizer opt(&meta_);
-  auto plan = opt.OptimizeSql(sql);
+  auto plan = PlanSql(sql);
   ASSERT_TRUE(plan.ok());
   AnnotateAllFusable(plan->get());
   LocalEngine fused_engine(4);
@@ -909,8 +918,7 @@ TEST_F(VectorizedEngineTest, FusedGlobalAggregateBitIdenticalToInterpreted) {
   auto plain = Run(sql, &plain_engine);
   ASSERT_TRUE(plain.ok());
 
-  Optimizer opt(&meta_);
-  auto plan = opt.OptimizeSql(sql);
+  auto plan = PlanSql(sql);
   ASSERT_TRUE(plan.ok());
   AnnotateAllFusable(plan->get());
   LocalEngine fused_engine(4);
@@ -940,8 +948,7 @@ TEST_F(VectorizedEngineTest, FusedProbePipelineBitIdenticalToInterpreted) {
   auto plain = Run(sql, &plain_engine);
   ASSERT_TRUE(plain.ok());
 
-  Optimizer opt(&meta_);
-  auto plan = opt.OptimizeSql(sql);
+  auto plan = PlanSql(sql);
   ASSERT_TRUE(plan.ok());
   AnnotateAllFusable(plan->get());
   ASSERT_NE(FindNodeOfKind(plan->get(), PhysicalPlan::Kind::kHashJoin),
@@ -958,9 +965,7 @@ TEST_F(VectorizedEngineTest, SurvivingMorselPredictionMatchesEngineScanStats) {
   // zone-map pruning (SurvivingScanMorsels). Its ceil-prediction from the
   // planner's prune_keep_fraction must agree with what the engine actually
   // dispatches for the same plan, within the one-morsel ceiling slack.
-  Optimizer opt(&meta_);
-  auto plan =
-      opt.OptimizeSql("SELECT k FROM fact WHERE k < 256 AND grp >= 2");
+  auto plan = PlanSql("SELECT k FROM fact WHERE k < 256 AND grp >= 2");
   ASSERT_TRUE(plan.ok());
   PhysicalPlan* scan =
       FindNodeOfKind(plan->get(), PhysicalPlan::Kind::kTableScan);
@@ -987,14 +992,13 @@ TEST_F(VectorizedEngineTest, UnfusableShapeFallsBackAndStillAgrees) {
   // a fallback morsel, and the interpreted path serves the query.
   const std::string sql =
       "SELECT k FROM fact WHERE k < 256 OR grp = 3";
-  Optimizer opt(&meta_);
-  auto plan = opt.OptimizeSql(sql);
+  auto plan = PlanSql(sql);
   ASSERT_TRUE(plan.ok());
   LocalEngine plain_engine(4);
   auto plain = plain_engine.Execute(plan->get());
   ASSERT_TRUE(plain.ok());
 
-  auto annotated = opt.OptimizeSql(sql);
+  auto annotated = PlanSql(sql);
   ASSERT_TRUE(annotated.ok());
   AnnotateAllFusable(annotated->get());
   LocalEngine fused_engine(4);

@@ -1,7 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "exec/engine.h"
-#include "optimizer/optimizer.h"
+#include "service/database.h"
 #include "workload/ssb.h"
 #include "workload/trace.h"
 
@@ -62,27 +62,29 @@ TEST(SsbTest, SkewedForeignKeysConcentrate) {
 }
 
 TEST(SsbTest, AllTwelveQueriesPlanAndExecute) {
-  MetadataService meta;
+  Database db;
   SsbOptions opts;
   opts.scale = 0.005;
-  LoadSsb(&meta, opts);
-  Optimizer opt(&meta);
+  LoadSsb(db.meta(), opts);
+  QueryService* planner = db.query_service();
+  planner->RemovePass("bushy_rewrite");
+  planner->RemovePass("fuse_kernels");
   LocalEngine engine(4);
   for (const auto& q : SsbQueries()) {
-    auto plan = opt.OptimizeSql(q.sql);
-    ASSERT_TRUE(plan.ok()) << q.id << ": " << plan.status().ToString();
-    auto result = engine.Execute(plan->get());
+    auto planned = planner->PlanSql(q.sql, UserConstraint());
+    ASSERT_TRUE(planned.ok()) << q.id << ": " << planned.status().ToString();
+    auto result = engine.Execute(planned->plan.get());
     ASSERT_TRUE(result.ok()) << q.id << ": " << result.status().ToString();
   }
 }
 
 TEST(SsbTest, Q1MatchesManualRecomputation) {
-  MetadataService meta;
+  Database db;
   SsbOptions opts;
   opts.scale = 0.005;
-  LoadSsb(&meta, opts);
+  LoadSsb(db.meta(), opts);
   // Manual scan of the base table.
-  auto t = meta.GetTable("lineorder").value();
+  auto t = db.meta()->GetTable("lineorder").value();
   DataChunk all = t->Scan();
   size_t disc_idx = t->ColumnIndex("lo_discount").value();
   size_t qty_idx = t->ColumnIndex("lo_quantity").value();
@@ -94,11 +96,13 @@ TEST(SsbTest, Q1MatchesManualRecomputation) {
       expected += all.column(price_idx).GetDouble(i) * d;
     }
   }
-  Optimizer opt(&meta);
+  QueryService* planner = db.query_service();
+  planner->RemovePass("bushy_rewrite");
+  planner->RemovePass("fuse_kernels");
   LocalEngine engine(4);
-  auto plan = opt.OptimizeSql(FindQuery("Q1").sql);
-  ASSERT_TRUE(plan.ok());
-  auto result = engine.Execute(plan->get());
+  auto planned = planner->PlanSql(FindQuery("Q1").sql, UserConstraint());
+  ASSERT_TRUE(planned.ok());
+  auto result = engine.Execute(planned->plan.get());
   ASSERT_TRUE(result.ok());
   ASSERT_EQ(result->chunk.num_rows(), 1u);
   EXPECT_NEAR(result->chunk.column(0).GetDouble(0), expected,
