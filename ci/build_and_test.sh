@@ -11,7 +11,8 @@
 #            thread-safety analysis (ci/check_thread_safety.sh), clang-tidy
 #            (ci/check_clang_tidy.sh). The clang-based stages skip loudly
 #            on runners without a clang toolchain; the linter always runs.
-#   build  - Release+Werror build, ctest, bench smoke, markdown link check
+#   build  - Release+Werror build, ctest, perfbench selftest, bench smoke,
+#            markdown link check
 #   asan   - Debug AddressSanitizer+UBSan on the execution-layer tests
 #   tsan   - ThreadSanitizer on the concurrent service + sharded tests
 set -euo pipefail
@@ -117,6 +118,12 @@ run_build_stage() {
   cmake -B "$build_dir" -S . -DCOSTDB_WERROR=ON "${CMAKE_LAUNCHER_ARGS[@]}"
   cmake --build "$build_dir" -j "$JOBS"
   ctest --test-dir "$build_dir" --output-on-failure -j "$JOBS"
+
+  # ---- benchmark self-test: perfbench/ is its own CMake project over the
+  # Database facade and is not a ctest target, so a facade API change
+  # that breaks the benchmark's build or its tests must fail here.
+  echo "== perfbench selftest =="
+  python3 perfbench/run.py --selftest
 
   # ---- test registration drift guard: every tests/*_test.cc must be a
   # registered ctest target (the inverse of the bench --smoke discovery

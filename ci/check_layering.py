@@ -47,6 +47,13 @@ boundary the architecture forbids:
                       service facade — a second direct consumer of the
                       wire format would fork the serialization contract.
 
+  cost-engine         The cost model (src/cost/) prices plans; the
+                      engines measure them. src/cost/ must not include
+                      src/exec/: the service layer turns measurements
+                      into (predicted, actual) pairs for the calibrator,
+                      so the predictor never depends on the engine it
+                      predicts.
+
 Legitimate exceptions live in ci/layering_allowlist.txt as
 "includer -> included" lines; stale entries fail the check so the
 allowlist cannot rot.
@@ -105,6 +112,10 @@ NET_INTERNAL_OK_PREFIXES = ("src/net/", "src/exec/", "src/sim/", "tests/")
 # Engines scan through TableStorage/BlockCache, never the store itself.
 ENGINE_PREFIXES = ("src/exec/",)
 ENGINE_FORBIDDEN_FILES = {"cloud/object_store.h"}
+
+# The cost model never reaches back into the engines it prices.
+COST_PREFIXES = ("src/cost/",)
+COST_FORBIDDEN_PREFIXES = ("exec/",)
 
 SCAN_DIRS = ("src", "examples", "bench", "tests", "tools")
 SOURCE_EXTS = (".h", ".hpp", ".cc", ".cpp")
@@ -188,6 +199,15 @@ def check_file(path, includes, allowlist, used_allowlist):
                 "through TableStorage/BlockCache (storage/persistent.h); "
                 "direct object-store GETs would bypass the priced cache, "
                 "the billing ledger, and the storage-term calibration"))
+
+        # Rule: cost-engine
+        if (path.startswith(COST_PREFIXES)
+                and inc.startswith(COST_FORBIDDEN_PREFIXES)):
+            violations.append((
+                "cost-engine", lineno, inc,
+                f"{path}:{lineno}: cost model includes engine header "
+                f"'{inc}' — src/cost/ takes (predicted, actual) pairs; "
+                "the service layer reads the engine's measurements"))
 
         # Rule: session-bypass
         if path.startswith(CLIENT_PREFIXES):

@@ -3,12 +3,43 @@
 #include <algorithm>
 #include <cmath>
 
-#include "exec/engine.h"
-#include "exec/sharded_engine.h"
-
 namespace costdb {
 
 namespace {
+
+constexpr double kLearningRate = 0.5;
+constexpr double kMaxStep = 8.0;
+constexpr double kMaxTotalDrift = 1024.0;
+
+using Field = double HardwareCalibration::*;
+
+/// One group of time fields. Times are volume/rate plus fixed seconds, so
+/// dividing the rates and multiplying the fixed latencies by `scale`
+/// multiplies every duration the group prices by exactly `scale`.
+struct TermGroup {
+  std::vector<Field> rates;
+  std::vector<Field> latencies;
+};
+
+/// Indexed by CalibrationTerm. Sizes (vector_batch_rows), the parallel
+/// decay and the configured transport are not times and never move.
+const std::array<TermGroup, 5>& TermGroups() {
+  using HW = HardwareCalibration;
+  static const std::array<TermGroup, 5> groups = {{
+      {{&HW::scan_gibps_per_node, &HW::network_gibps_per_node,
+        &HW::filter_rows_per_sec, &HW::project_rows_per_sec,
+        &HW::hash_build_rows_per_sec, &HW::hash_probe_rows_per_sec,
+        &HW::agg_rows_per_sec, &HW::agg_merge_groups_per_sec,
+        &HW::sort_rows_per_sec, &HW::exchange_rows_per_sec},
+       {&HW::shuffle_sync_per_node, &HW::pipeline_startup,
+        &HW::worker_spinup_seconds, &HW::batch_dispatch_seconds}},
+      {{&HW::shuffle_gibps}, {&HW::shuffle_dispatch_seconds}},
+      {{&HW::wire_serialize_gibps, &HW::link_gibps}, {&HW::link_rtt_seconds}},
+      {{&HW::fused_filter_rows_per_sec}, {&HW::fused_dispatch_seconds}},
+      {{&HW::storage_read_gibps}, {&HW::storage_get_seconds}},
+  }};
+  return groups;
+}
 
 double QError(double predicted, double actual) {
   if (predicted <= 0.0 || actual <= 0.0) return 1.0;
@@ -24,244 +55,57 @@ double GeoMeanQError(const std::vector<CalibrationObservation>& pairs) {
 
 }  // namespace
 
-CalibrationUpdater::CalibrationUpdater(HardwareCalibration* hw,
-                                       CalibrationUpdaterOptions options)
-    : hw_(hw), options_(options) {}
-
 CalibrationReport CalibrationUpdater::Observe(
-    const PipelineGraph& graph, const VolumeMap& volumes,
-    const std::vector<PipelineTiming>& timings,
-    const CostEstimator& estimator, int dop) {
+    CalibrationTerm term,
+    const std::vector<CalibrationObservation>& observed) {
   std::vector<CalibrationObservation> pairs;
-  for (const auto& timing : timings) {
-    if (timing.seconds <= 0.0) continue;
-    for (const auto& pipeline : graph.pipelines) {
-      if (pipeline.id != timing.pipeline_id) continue;
-      CalibrationObservation obs;
-      obs.pipeline_id = pipeline.id;
-      obs.actual = timing.seconds;
-      obs.predicted = estimator.PipelineDuration(pipeline, dop, volumes);
-      if (obs.predicted > 0.0) pairs.push_back(obs);
-      break;
-    }
+  for (const auto& p : observed) {
+    if (p.predicted > 0.0 && p.actual > 0.0) pairs.push_back(p);
   }
-  return ObservePairs(pairs);
-}
+  CalibrationReport report;
+  report.pipelines_observed = static_cast<int>(pairs.size());
+  if (pairs.empty()) return report;
+  report.q_error_before = GeoMeanQError(pairs);
 
-double CalibrationUpdater::ScaleFor(
-    const std::vector<CalibrationObservation>& pairs,
-    double total_scale_so_far) const {
   // Geometric mean of actual/predicted: the single multiplier that, applied
   // to every predicted duration, minimizes the aggregate log error.
   double log_ratio = 0.0;
   for (const auto& p : pairs) log_ratio += std::log(p.actual / p.predicted);
   log_ratio /= static_cast<double>(pairs.size());
+  double scale = std::exp(log_ratio * kLearningRate);
+  scale = std::clamp(scale, 1.0 / kMaxStep, kMaxStep);
+  // Keep the group's cumulative drift bounded relative to the initial
+  // calibration.
+  const double so_far = total_scale(term);
+  const double proposed = std::clamp(so_far * scale, 1.0 / kMaxTotalDrift,
+                                     kMaxTotalDrift);
+  scale = proposed / so_far;
 
-  double scale = std::exp(log_ratio * options_.learning_rate);
-  scale = std::clamp(scale, 1.0 / options_.max_step, options_.max_step);
-  // Keep the cumulative drift bounded relative to the initial calibration.
-  double proposed_total = total_scale_so_far * scale;
-  proposed_total = std::clamp(proposed_total, 1.0 / options_.max_total_drift,
-                              options_.max_total_drift);
-  return proposed_total / total_scale_so_far;
-}
-
-CalibrationReport CalibrationUpdater::ObservePairs(
-    const std::vector<CalibrationObservation>& pairs) {
-  CalibrationReport report;
-  report.pipelines_observed = static_cast<int>(pairs.size());
-  if (pairs.empty()) return report;
-  report.q_error_before = GeoMeanQError(pairs);
-
-  double scale = ScaleFor(pairs, total_scale_);
-  ApplyScale(scale);
-  total_scale_ *= scale;
-  ++rounds_;
-  report.applied_scale = scale;
-
-  // Every time term scales linearly in `scale`, so the post-update q-error
-  // is exact without re-invoking the estimator.
-  std::vector<CalibrationObservation> after = pairs;
-  for (auto& p : after) p.predicted *= scale;
-  report.q_error_after = GeoMeanQError(after);
-  return report;
-}
-
-CalibrationReport CalibrationUpdater::ObserveShuffles(
-    const std::vector<ExchangeTiming>& timings) {
-  std::vector<CalibrationObservation> pairs;
-  for (const auto& t : timings) {
-    // The copy term must never chase link time: a serializing transport's
-    // serialize+transfer share is priced (and calibrated) separately by
-    // ObserveTransport, so subtract it from the measured wall time. A
-    // no-op for in-process exchanges, whose link_seconds is 0.
-    const double actual = t.seconds - t.link_seconds;
-    if (actual <= 0.0) continue;
-    CalibrationObservation obs;
-    obs.actual = actual;
-    obs.predicted = t.bytes / (hw_->shuffle_gibps * kGiB) +
-                    static_cast<double>(t.partitions) *
-                        hw_->shuffle_dispatch_seconds;
-    if (obs.predicted > 0.0) pairs.push_back(obs);
+  if (term == CalibrationTerm::kPipeline) {
+    // The core terms sit under every predicted duration: move every group
+    // and every group's drift tracker.
+    for (size_t g = 0; g < kTerms; ++g) {
+      Rescale(static_cast<CalibrationTerm>(g), scale);
+    }
+  } else {
+    Rescale(term, scale);
   }
-  CalibrationReport report;
-  report.pipelines_observed = static_cast<int>(pairs.size());
-  if (pairs.empty()) return report;
-  report.q_error_before = GeoMeanQError(pairs);
-
-  double scale = ScaleFor(pairs, shuffle_total_scale_);
-  // Scale only the shuffle term: the copy rate divides, the per-partition
-  // dispatch multiplies, so every predicted exchange duration scales by
-  // exactly `scale` while the rest of the calibration stays put.
-  hw_->shuffle_gibps /= scale;
-  hw_->shuffle_dispatch_seconds *= scale;
-  shuffle_total_scale_ *= scale;
   ++rounds_;
   report.applied_scale = scale;
 
-  std::vector<CalibrationObservation> after = pairs;
-  for (auto& p : after) p.predicted *= scale;
-  report.q_error_after = GeoMeanQError(after);
+  // Every time term of the group scales linearly in `scale`, so the
+  // post-update q-error is exact without re-invoking the model.
+  for (auto& p : pairs) p.predicted *= scale;
+  report.q_error_after = GeoMeanQError(pairs);
   return report;
 }
 
-CalibrationReport CalibrationUpdater::ObserveTransport(
-    const std::vector<ExchangeTiming>& timings) {
-  std::vector<CalibrationObservation> pairs;
-  for (const auto& t : timings) {
-    // Only exchanges that actually serialized bytes over a link carry a
-    // signal for the link terms; in-process exchanges have neither.
-    if (t.wire_bytes <= 0.0 || t.link_seconds <= 0.0) continue;
-    CalibrationObservation obs;
-    obs.actual = t.link_seconds;
-    obs.predicted = t.wire_bytes / (hw_->wire_serialize_gibps * kGiB) +
-                    t.wire_bytes / (hw_->link_gibps * kGiB) +
-                    static_cast<double>(t.transfers) * hw_->link_rtt_seconds;
-    if (obs.predicted > 0.0) pairs.push_back(obs);
-  }
-  CalibrationReport report;
-  report.pipelines_observed = static_cast<int>(pairs.size());
-  if (pairs.empty()) return report;
-  report.q_error_before = GeoMeanQError(pairs);
-
-  double scale = ScaleFor(pairs, link_total_scale_);
-  // Scale only the link terms: both bandwidths divide and the fixed RTT
-  // multiplies, so every predicted serialize+transfer duration scales by
-  // exactly `scale` while the copy term (ObserveShuffles' territory) and
-  // the rest of the calibration stay put.
-  hw_->wire_serialize_gibps /= scale;
-  hw_->link_gibps /= scale;
-  hw_->link_rtt_seconds *= scale;
-  link_total_scale_ *= scale;
-  ++rounds_;
-  report.applied_scale = scale;
-
-  std::vector<CalibrationObservation> after = pairs;
-  for (auto& p : after) p.predicted *= scale;
-  report.q_error_after = GeoMeanQError(after);
-  return report;
-}
-
-CalibrationReport CalibrationUpdater::ObserveFused(
-    const std::vector<FusedObservation>& timings) {
-  std::vector<CalibrationObservation> pairs;
-  for (const auto& t : timings) {
-    if (t.seconds <= 0.0) continue;
-    CalibrationObservation obs;
-    obs.actual = t.seconds;
-    obs.predicted = t.rows / hw_->fused_filter_rows_per_sec +
-                    t.batches * hw_->fused_dispatch_seconds;
-    if (obs.predicted > 0.0) pairs.push_back(obs);
-  }
-  CalibrationReport report;
-  report.pipelines_observed = static_cast<int>(pairs.size());
-  if (pairs.empty()) return report;
-  report.q_error_before = GeoMeanQError(pairs);
-
-  double scale = ScaleFor(pairs, fused_total_scale_);
-  // Scale only the fused tier: rate divides, per-morsel dispatch
-  // multiplies, so every predicted fused-chain duration scales by exactly
-  // `scale` while the interpreted rates it competes with stay put.
-  hw_->fused_filter_rows_per_sec /= scale;
-  hw_->fused_dispatch_seconds *= scale;
-  fused_total_scale_ *= scale;
-  ++rounds_;
-  report.applied_scale = scale;
-
-  std::vector<CalibrationObservation> after = pairs;
-  for (auto& p : after) p.predicted *= scale;
-  report.q_error_after = GeoMeanQError(after);
-  return report;
-}
-
-CalibrationReport CalibrationUpdater::ObserveStorage(
-    const std::vector<StorageObservation>& timings) {
-  std::vector<CalibrationObservation> pairs;
-  for (const auto& t : timings) {
-    if (t.seconds <= 0.0) continue;
-    CalibrationObservation obs;
-    obs.actual = t.seconds;
-    obs.predicted = t.bytes / (hw_->storage_read_gibps * kGiB) +
-                    t.blocks * hw_->storage_get_seconds;
-    if (obs.predicted > 0.0) pairs.push_back(obs);
-  }
-  CalibrationReport report;
-  report.pipelines_observed = static_cast<int>(pairs.size());
-  if (pairs.empty()) return report;
-  report.q_error_before = GeoMeanQError(pairs);
-
-  double scale = ScaleFor(pairs, storage_total_scale_);
-  // Scale only the storage tier: fetch+decode bandwidth divides, the
-  // per-GET fixed latency multiplies, so every predicted cold-read
-  // duration scales by exactly `scale` while the rest of the calibration
-  // (and the dollar side of block-cache pricing) stays put.
-  hw_->storage_read_gibps /= scale;
-  hw_->storage_get_seconds *= scale;
-  storage_total_scale_ *= scale;
-  ++rounds_;
-  report.applied_scale = scale;
-
-  std::vector<CalibrationObservation> after = pairs;
-  for (auto& p : after) p.predicted *= scale;
-  report.q_error_after = GeoMeanQError(after);
-  return report;
-}
-
-void CalibrationUpdater::ApplyScale(double scale) {
-  if (scale == 1.0) return;
-  // Times are volume/rate plus fixed seconds: dividing rates and
-  // multiplying fixed latencies by `scale` multiplies every predicted
-  // duration by exactly `scale`.
-  hw_->scan_gibps_per_node /= scale;
-  hw_->network_gibps_per_node /= scale;
-  hw_->filter_rows_per_sec /= scale;
-  hw_->project_rows_per_sec /= scale;
-  hw_->hash_build_rows_per_sec /= scale;
-  hw_->hash_probe_rows_per_sec /= scale;
-  hw_->agg_rows_per_sec /= scale;
-  hw_->agg_merge_groups_per_sec /= scale;
-  hw_->sort_rows_per_sec /= scale;
-  hw_->exchange_rows_per_sec /= scale;
-  hw_->shuffle_gibps /= scale;
-  hw_->shuffle_dispatch_seconds *= scale;
-  // The uniform pipeline scale moves the shuffle term too; record it in
-  // the shuffle drift tracker so ObserveShuffles' max_total_drift clamp
-  // is measured against the term's true cumulative movement.
-  shuffle_total_scale_ *= scale;
-  hw_->wire_serialize_gibps /= scale;
-  hw_->link_gibps /= scale;
-  hw_->link_rtt_seconds *= scale;
-  link_total_scale_ *= scale;  // same drift bookkeeping as the shuffle term
-  hw_->fused_filter_rows_per_sec /= scale;
-  hw_->fused_dispatch_seconds *= scale;
-  fused_total_scale_ *= scale;  // same drift bookkeeping as the shuffle term
-  hw_->storage_read_gibps /= scale;
-  hw_->storage_get_seconds *= scale;
-  storage_total_scale_ *= scale;  // ditto for the cold-read storage tier
-  hw_->shuffle_sync_per_node *= scale;
-  hw_->pipeline_startup *= scale;
-  hw_->worker_spinup_seconds *= scale;
-  hw_->batch_dispatch_seconds *= scale;  // vector_batch_rows is a size, not a time
+void CalibrationUpdater::Rescale(CalibrationTerm term, double scale) {
+  const size_t g = static_cast<size_t>(term);
+  const TermGroup& group = TermGroups()[g];
+  for (Field f : group.rates) hw_->*f /= scale;
+  for (Field f : group.latencies) hw_->*f *= scale;
+  total_scale_[g] *= scale;
 }
 
 }  // namespace costdb

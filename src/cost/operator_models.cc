@@ -139,36 +139,15 @@ class SortModel : public OperatorModel {
   const HardwareCalibration* hw_;
 };
 
-/// Calibrated serialize/copy side of the data-movement term: the byte
-/// half of `bytes/shuffle_bw + partitions*dispatch`. It overlaps the wire
-/// in the exchange models (both sit under a max), so the cloud-shaped NIC
-/// model keeps its scaling behavior while the in-process sharded engine —
-/// whose "wire" IS this copy — calibrates it from measured exchange times
-/// (CalibrationUpdater::ObserveShuffles).
-Seconds ShuffleCopyTime(const HardwareCalibration* hw, double moved_bytes) {
-  return moved_bytes / (hw->shuffle_gibps * kGiB);
-}
-
-/// Per-receiver-partition dispatch fee (bucket setup, temp-table build) —
-/// the partition half of the calibrated shuffle term.
-Seconds ShuffleDispatch(const HardwareCalibration* hw, int partitions) {
-  return static_cast<double>(partitions) * hw->shuffle_dispatch_seconds;
-}
-
 /// Per-transport link surcharge of the bytes an exchange moves: zero on
 /// the in-process transport (no serialization exists), and the calibrated
 /// serialize + link + RTT terms on a serializing transport. Additive on
 /// top of the copy/NIC max — serialization and the kernel copy genuinely
-/// happen in sequence with the repartition, they don't overlap it
-/// (measured as ExchangeTiming::link_seconds; calibrated by
-/// CalibrationUpdater::ObserveTransport).
-Seconds LinkTime(const HardwareCalibration* hw, double moved_bytes,
+/// happen in sequence with the repartition, they don't overlap it.
+Seconds LinkTime(const HardwareCalibration& hw, double moved_bytes,
                  int transfers) {
-  if (hw->exchange_transport != LinkTransport::kSocket) return 0.0;
-  if (moved_bytes <= 0.0 && transfers <= 0) return 0.0;
-  return moved_bytes / (hw->wire_serialize_gibps * kGiB) +
-         moved_bytes / (hw->link_gibps * kGiB) +
-         static_cast<double>(transfers) * hw->link_rtt_seconds;
+  if (hw.exchange_transport != LinkTransport::kSocket) return 0.0;
+  return LinkTermTime(hw, moved_bytes, transfers);
 }
 
 class ShuffleModel : public OperatorModel {
@@ -185,8 +164,8 @@ class ShuffleModel : public OperatorModel {
     double eff = EffectiveParallelism(dop, hw_->parallel_alpha);
     double moved = w.bytes_in * frac_remote;
     double net = moved / (hw_->network_gibps_per_node * kGiB * eff);
-    return std::max({cpu, net, ShuffleCopyTime(hw_, moved)}) +
-           LinkTime(hw_, moved, dop) + ShuffleDispatch(hw_, dop) +
+    return std::max({cpu, net, ShuffleCopyTime(*hw_, moved)}) +
+           LinkTime(*hw_, moved, dop) + ShuffleDispatch(*hw_, dop) +
            hw_->shuffle_sync_per_node * dop;
   }
   const char* name() const override { return "shuffle"; }
@@ -221,9 +200,9 @@ class BroadcastModel : public OperatorModel {
     // The transport serializes the broadcast payload once (consumers share
     // the decoded copy), so the link surcharge is per-payload, not per
     // consumer.
-    return std::max(per_node * fanout_penalty, ShuffleCopyTime(hw_, moved)) +
-           LinkTime(hw_, dop > 1 ? w.bytes_in : 0.0, dop > 1 ? 1 : 0) +
-           ShuffleDispatch(hw_, dop) + hw_->shuffle_sync_per_node * dop;
+    return std::max(per_node * fanout_penalty, ShuffleCopyTime(*hw_, moved)) +
+           LinkTime(*hw_, dop > 1 ? w.bytes_in : 0.0, dop > 1 ? 1 : 0) +
+           ShuffleDispatch(*hw_, dop) + hw_->shuffle_sync_per_node * dop;
   }
   const char* name() const override { return "broadcast"; }
 
@@ -243,9 +222,9 @@ class GatherModel : public OperatorModel {
     const double frac_remote =
         dop <= 1 ? 0.0 : static_cast<double>(dop - 1) / dop;
     return std::max(w.bytes_in / (hw_->network_gibps_per_node * kGiB),
-                    ShuffleCopyTime(hw_, w.bytes_in)) +
-           LinkTime(hw_, w.bytes_in * frac_remote, dop > 1 ? dop - 1 : 0) +
-           ShuffleDispatch(hw_, 1);
+                    ShuffleCopyTime(*hw_, w.bytes_in)) +
+           LinkTime(*hw_, w.bytes_in * frac_remote, dop > 1 ? dop - 1 : 0) +
+           ShuffleDispatch(*hw_, 1);
   }
   const char* name() const override { return "gather"; }
 
@@ -254,6 +233,27 @@ class GatherModel : public OperatorModel {
 };
 
 }  // namespace
+
+Seconds ShuffleCopyTime(const HardwareCalibration& hw, double moved_bytes) {
+  return moved_bytes / (hw.shuffle_gibps * kGiB);
+}
+
+Seconds ShuffleDispatch(const HardwareCalibration& hw, double partitions) {
+  return partitions * hw.shuffle_dispatch_seconds;
+}
+
+Seconds LinkTermTime(const HardwareCalibration& hw, double wire_bytes,
+                     double transfers) {
+  return wire_bytes / (hw.wire_serialize_gibps * kGiB) +
+         wire_bytes / (hw.link_gibps * kGiB) +
+         transfers * hw.link_rtt_seconds;
+}
+
+Seconds ColdReadTime(const HardwareCalibration& hw, double bytes,
+                     double blocks) {
+  return bytes / (hw.storage_read_gibps * kGiB) +
+         blocks * hw.storage_get_seconds;
+}
 
 std::unique_ptr<OperatorModel> MakeAnalyticModel(
     const PhysicalPlan& op, const HardwareCalibration* hw) {

@@ -70,6 +70,30 @@ Seconds InterpretedFilterChainTime(const HardwareCalibration& hw, double rows,
 Seconds FusedFilterChainTime(const HardwareCalibration& hw, double rows,
                              double batches, int dop);
 
+/// Calibrated serialize/copy side of the data-movement term: the byte half
+/// of `bytes/shuffle_bw + partitions*dispatch`. It overlaps the wire in
+/// the exchange models (both sit under a max), so the cloud-shaped NIC
+/// model keeps its scaling behavior while the in-process sharded engine —
+/// whose "wire" IS this copy — calibrates it from measured exchange times
+/// (CalibrationTerm::kShuffle).
+Seconds ShuffleCopyTime(const HardwareCalibration& hw, double moved_bytes);
+
+/// Per-receiver-partition dispatch fee (bucket setup, temp-table build) —
+/// the partition half of the calibrated shuffle term.
+Seconds ShuffleDispatch(const HardwareCalibration& hw, double partitions);
+
+/// Serialize + transfer + RTT time of `wire_bytes` sent in `transfers`
+/// Send calls over a serializing transport (CalibrationTerm::kLink). The
+/// exchange models add it only when hw.exchange_transport is kSocket.
+Seconds LinkTermTime(const HardwareCalibration& hw, double wire_bytes,
+                     double transfers);
+
+/// Node time of reading `blocks` cold blocks totalling `bytes` from the
+/// object store: fetch+decode bandwidth plus one fixed GET latency per
+/// block (CalibrationTerm::kStorage).
+Seconds ColdReadTime(const HardwareCalibration& hw, double bytes,
+                     double blocks);
+
 /// Pre-trained regression model for exchange-heavy operators (paper: "we
 /// pre-train regression models for them with synthetic workloads that
 /// cover the parameter space"). Log-linear in (rows, bytes, dop):

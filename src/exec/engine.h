@@ -121,13 +121,12 @@ class LocalEngine {
   /// Fused-kernel counters of the previous Execute call: which morsels ran
   /// through the fused tier the fuse_kernels pass annotated, which hit the
   /// runtime fallback, and the wall time spent inside fused kernels (the
-  /// signal CalibrationUpdater::ObserveFused folds back into the fused
-  /// cost terms).
+  /// signal Database::Calibrate folds back into the fused cost terms).
   const FusedExecStats& last_fused_stats() const { return fused_stats_; }
 
   /// Block-cache counters of the previous Execute call: cold-block hits,
   /// misses (each one object-store GET), and the measured read+decode time
-  /// CalibrationUpdater::ObserveStorage folds back into the storage terms.
+  /// Database::Calibrate folds back into the storage terms.
   /// All-zero for purely RAM-resident scans.
   const BlockCacheStats& last_block_stats() const { return block_stats_; }
 

@@ -19,9 +19,9 @@ namespace costdb {
 /// one shared copy, not W wire copies) — while the logical cross-worker
 /// charge lives in ExchangeStats::bytes_moved(). When the exchange ran
 /// over a serializing transport, `wire_bytes`/`link_seconds` isolate the
-/// serialization + link share of `seconds`; ObserveTransport calibrates
-/// the link terms from exactly these fields (and ObserveShuffles subtracts
-/// them, so the copy term never chases link time).
+/// serialization + link share of `seconds`; the calibration's link terms
+/// learn from exactly these fields (and the shuffle copy term subtracts
+/// them, so it never chases link time).
 struct ExchangeTiming {
   ExchangeKind kind = ExchangeKind::kShuffle;
   double bytes = 0.0;      // payload bytes the movement copied

@@ -14,7 +14,7 @@
 ///
 /// The per-transport TransportStats (wire bytes, socket bytes, serialize
 /// vs transfer seconds) feed ExchangeTiming, and from there egress billing
-/// and CalibrationUpdater::ObserveTransport.
+/// and the calibration's link terms.
 
 #include <cstdint>
 #include <functional>

@@ -37,9 +37,8 @@ struct TenantQuota {
 };
 
 struct AdmissionOptions {
-  /// Queries running at once (admission worker count). 0 = pick up the
-  /// facade's batch_threads default (see DatabaseOptions).
-  size_t max_concurrent = 0;
+  /// Queries running at once (admission worker count; at least 1).
+  size_t max_concurrent = 4;
   /// Cap on the summed estimated working set of running queries. A query
   /// whose own estimate exceeds the cap still runs — alone — so oversized
   /// requests degrade to serial execution instead of queueing forever.

@@ -38,10 +38,8 @@ Database::Database(DatabaseOptions options)
   estimator_ = std::make_unique<CostEstimator>(&hw_, &node_);
   query_service_ = std::make_unique<QueryService>(&meta_, estimator_.get(),
                                                   options_.optimizer);
-  simulator_ =
-      std::make_unique<DistributedSimulator>(estimator_.get(), options_.sim);
-  calibration_ =
-      std::make_unique<CalibrationUpdater>(&hw_, options_.calibration);
+  simulator_ = std::make_unique<DistributedSimulator>(estimator_.get());
+  calibration_ = std::make_unique<CalibrationUpdater>(&hw_);
   // Serial engines live in tenant-hashed lock shards and are built
   // lazily: a process serving one tenant spins up one engine pool, not
   // kEngineShards of them.
@@ -71,11 +69,7 @@ Database::Database(DatabaseOptions options)
       storage_store_ = std::move(store);
     }
   }
-  AdmissionOptions admission = options_.admission;
-  if (admission.max_concurrent == 0) {
-    admission.max_concurrent = options_.batch_threads;
-  }
-  admission_ = std::make_unique<AdmissionController>(admission);
+  admission_ = std::make_unique<AdmissionController>(options_.admission);
 }
 
 Status Database::PersistTable(const std::string& name) {
@@ -356,8 +350,8 @@ Result<ExecutionResult> Database::ExecuteSharded(
   std::unique_ptr<ElasticController> controller;
   WidthDecider decider;
   if (options_.enable_elastic) {
-    monitor = std::make_unique<PipelineDopMonitor>(options_.elastic_monitor);
-    ElasticControllerOptions elastic = options_.elastic;
+    monitor = std::make_unique<PipelineDopMonitor>();
+    ElasticControllerOptions elastic;
     elastic.max_workers = std::min<size_t>(
         elastic.max_workers, std::max<size_t>(1, options_.max_workers));
     controller = std::make_unique<ElasticController>(estimator_.get(),
@@ -748,58 +742,85 @@ void Database::ClearResultCache() {
 
 CalibrationReport Database::Calibrate(const ExecutionResult& executed) {
   WriterMutexLock hw_lock(hw_mu_);
-  CalibrationReport report;
-  if (!executed.timings.empty()) {
-    report = calibration_->Observe(executed.plan->pipelines,
-                                   executed.plan->volumes, executed.timings,
-                                   *estimator_, /*dop=*/1);
-  }
-  bool moved = report.changed(kRecalibrationThreshold);
-  if (!executed.exchange.timings.empty()) {
-    // Sharded run: fold the measured exchange wall times into the
-    // calibration's shuffle term (bytes/shuffle_bw + per-partition
-    // dispatch), tightening the cost model's worker-count decisions.
-    CalibrationReport shuffle =
-        calibration_->ObserveShuffles(executed.exchange.timings);
-    if (executed.timings.empty()) report = shuffle;
-    moved = moved || shuffle.changed(kRecalibrationThreshold);
-    // Over a serializing transport the same timings also carry a measured
-    // link share (serialize + socket transfer seconds per exchange): fold
-    // it into the link terms, which only transported runs may move.
-    bool any_link = false;
-    for (const ExchangeTiming& t : executed.exchange.timings) {
-      any_link = any_link || (t.wire_bytes > 0.0 && t.link_seconds > 0.0);
-    }
-    if (any_link) {
-      CalibrationReport link =
-          calibration_->ObserveTransport(executed.exchange.timings);
-      moved = moved || link.changed(kRecalibrationThreshold);
+  // Each term's pairs are predicted right before that term is observed:
+  // a pipeline round moves every group, so later predictions must see it.
+  bool moved = false;
+  auto observe = [&](CalibrationTerm term,
+                     const std::vector<CalibrationObservation>& pairs) {
+    CalibrationReport r = calibration_->Observe(term, pairs);
+    moved = moved || r.changed(kRecalibrationThreshold);
+    return r;
+  };
+
+  // Per-pipeline wall times against the estimator, with the local engine
+  // standing in for one node.
+  std::vector<CalibrationObservation> pipelines;
+  for (const PipelineTiming& timing : executed.timings) {
+    for (const auto& pipeline : executed.plan->pipelines.pipelines) {
+      if (pipeline.id != timing.pipeline_id) continue;
+      pipelines.push_back(
+          {pipeline.id,
+           estimator_->PipelineDuration(pipeline, /*dop=*/1,
+                                        executed.plan->volumes),
+           timing.seconds});
+      break;
     }
   }
-  if (executed.fused.any_fused() && executed.fused.fused_seconds > 0.0) {
-    // Fused morsels ran: fold the measured fused-kernel wall time into the
-    // fused dispatch/throughput terms, so the fuse_kernels pass's
-    // fused-vs-interpreted pricing tracks delivered performance.
-    FusedObservation obs;
-    obs.rows = static_cast<double>(executed.fused.fused_rows);
-    obs.batches = static_cast<double>(executed.fused.fused_filter_morsels +
-                                      executed.fused.fused_probe_morsels +
-                                      executed.fused.fused_agg_morsels);
-    obs.seconds = executed.fused.fused_seconds;
-    CalibrationReport fused = calibration_->ObserveFused({obs});
-    moved = moved || fused.changed(kRecalibrationThreshold);
+  CalibrationReport report = observe(CalibrationTerm::kPipeline, pipelines);
+
+  // Sharded runs: measured exchange wall times calibrate the shuffle copy
+  // term, and over a serializing transport their link share calibrates
+  // the link terms. The copy term must never chase link time, so the
+  // link share is subtracted from the copy observation (a no-op for
+  // in-process exchanges, whose link_seconds is 0).
+  std::vector<CalibrationObservation> shuffles;
+  for (const ExchangeTiming& t : executed.exchange.timings) {
+    shuffles.push_back(
+        {0,
+         ShuffleCopyTime(hw_, t.bytes) +
+             ShuffleDispatch(hw_, static_cast<double>(t.partitions)),
+         t.seconds - t.link_seconds});
   }
-  if (executed.storage.misses > 0 && executed.storage.miss_seconds > 0.0) {
-    // Cold blocks were read: fold the measured fetch+decode wall time into
-    // the storage tier's bandwidth/latency terms, so block-cache admission
-    // pricing and the compaction trade track delivered cold-read speed.
-    StorageObservation obs;
-    obs.bytes = executed.storage.bytes_read;
-    obs.blocks = static_cast<double>(executed.storage.misses);
-    obs.seconds = executed.storage.miss_seconds;
-    CalibrationReport storage = calibration_->ObserveStorage({obs});
-    moved = moved || storage.changed(kRecalibrationThreshold);
+  CalibrationReport shuffle = observe(CalibrationTerm::kShuffle, shuffles);
+  if (executed.timings.empty()) report = shuffle;
+  std::vector<CalibrationObservation> links;
+  for (const ExchangeTiming& t : executed.exchange.timings) {
+    // Only exchanges that serialized bytes over a link carry a signal.
+    if (t.wire_bytes <= 0.0) continue;
+    links.push_back(
+        {0,
+         LinkTermTime(hw_, t.wire_bytes, static_cast<double>(t.transfers)),
+         t.link_seconds});
   }
+  observe(CalibrationTerm::kLink, links);
+
+  // Fused morsels ran: the measured fused-kernel wall time keeps the
+  // fuse_kernels pass's fused-vs-interpreted pricing honest.
+  const FusedExecStats& fused = executed.fused;
+  if (fused.any_fused()) {
+    const double rows = static_cast<double>(fused.fused_rows);
+    const double batches = static_cast<double>(fused.fused_filter_morsels +
+                                               fused.fused_probe_morsels +
+                                               fused.fused_agg_morsels);
+    // FusedFilterChainTime prices a row-less chain at zero, but morsels
+    // over empty row groups still paid their fused dispatch.
+    const Seconds predicted =
+        rows > 0.0 ? FusedFilterChainTime(hw_, rows, batches, /*dop=*/1)
+                   : batches * hw_.fused_dispatch_seconds;
+    observe(CalibrationTerm::kFused, {{0, predicted, fused.fused_seconds}});
+  }
+
+  // Cold blocks were read: the measured fetch+decode time keeps
+  // block-cache admission pricing and the compaction trade honest.
+  const BlockCacheStats& storage = executed.storage;
+  if (storage.misses > 0) {
+    observe(CalibrationTerm::kStorage,
+            {{0,
+              ColdReadTime(hw_, storage.bytes_read,
+                           static_cast<double>(storage.misses)),
+              storage.miss_seconds}});
+  }
+
   if (moved) {
     // Estimates produced before this round are stale; lazily invalidate
     // cached plans by versioning.

@@ -46,18 +46,14 @@ struct DatabaseOptions {
   /// pass-through, or serialized through the checksummed wire format over
   /// a real socketpair (docs/TRANSPORT.md). The socket transport makes
   /// measured exchange times contain real serialization + link cost, the
-  /// calibration learns the link terms from them (ObserveTransport), and
-  /// moved wire bytes are billed at the egress rate.
+  /// calibration learns the link terms from them (CalibrationTerm::kLink),
+  /// and moved wire bytes are billed at the egress rate.
   TransportKind exchange_transport = TransportKind::kInProcess;
   /// Cap on UserConstraint::workers == 0 auto-resolution and on explicit
   /// worker requests routed to the sharded backend.
   size_t max_workers = 16;
-  /// Concurrently executing queries in the admission controller (and so
-  /// in SubmitBatch, which rides on it). Overridden by
-  /// admission.max_concurrent when that is non-zero.
-  size_t batch_threads = 4;
   /// Cost-aware admission for asynchronously submitted queries
-  /// (Session::Submit); max_concurrent == 0 inherits batch_threads.
+  /// (Session::Submit, and so SubmitBatch, which rides on it).
   AdmissionOptions admission;
   /// Shared result cache keyed by (statement shape, constraint, bound
   /// parameter vector): a hot repeated statement costs one execution, and
@@ -94,19 +90,15 @@ struct DatabaseOptions {
   /// Feed executed-pipeline wall times back into the hardware calibration
   /// after every local execution (the paper's calibration loop).
   bool enable_calibration = true;
-  CalibrationUpdaterOptions calibration;
   /// Elastic sharded execution: when true, every sharded run (resolved
   /// workers > 1) consults an ElasticController at fragment boundaries —
   /// a fresh PipelineDopMonitor per query proposes widths from observed
   /// fragment timings, admission queue pressure gates growth, and the
-  /// calibrated shuffle + spin-up terms veto net-negative resizes. Off by
-  /// default: fixed-width runs stay exactly as planned.
+  /// calibrated shuffle + spin-up terms veto net-negative resizes, with
+  /// the controller's worker cap clamped to max_workers. Off by default:
+  /// fixed-width runs stay exactly as planned.
   bool enable_elastic = false;
-  ElasticControllerOptions elastic;
-  /// Monitor thresholds for the per-query elastic policy.
-  DopMonitorOptions elastic_monitor;
   BiObjectiveOptions optimizer;
-  SimOptions sim;
 };
 
 /// One query of a concurrent batch.

@@ -86,9 +86,7 @@ ShardedParity CheckShardedParity(const PreparedQuery& prepared,
   for (const ExchangeTiming& t : measured.timings) {
     if (t.wire_bytes <= 0.0) continue;
     parity.predicted_link_seconds +=
-        t.wire_bytes / (hw.wire_serialize_gibps * kGiB) +
-        t.wire_bytes / (hw.link_gibps * kGiB) +
-        static_cast<double>(t.transfers) * hw.link_rtt_seconds;
+        LinkTermTime(hw, t.wire_bytes, static_cast<double>(t.transfers));
   }
   if (parity.predicted_link_seconds > 0.0 &&
       parity.measured_link_seconds > 0.0) {

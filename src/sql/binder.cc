@@ -31,6 +31,25 @@ std::string Lower(const std::string& s) {
 bool IsNumeric(LogicalType t) {
   return PhysicalTypeOf(t) != PhysicalType::kString;
 }
+
+/// WHERE/ON conjuncts, NOT operands and HAVING must be boolean.
+Status RequireBoolean(const ExprPtr& e) {
+  if (e->type == LogicalType::kBool) return Status::OK();
+  return Status::InvalidArgument("predicate is not boolean: " + e->ToString());
+}
+
+/// Every comparison — the binary operators, each IN item, both BETWEEN
+/// bounds — compares strings only with strings.
+Result<ExprPtr> MakeTypedCompare(CompareOp op, ExprPtr l, ExprPtr r) {
+  const bool l_str = PhysicalTypeOf(l->type) == PhysicalType::kString;
+  const bool r_str = PhysicalTypeOf(r->type) == PhysicalType::kString;
+  if (l_str != r_str) {
+    return Status::InvalidArgument("cannot compare " +
+                                   std::string(LogicalTypeName(l->type)) +
+                                   " with " + LogicalTypeName(r->type));
+  }
+  return Expr::MakeCompare(op, std::move(l), std::move(r));
+}
 }  // namespace
 
 Result<BoundQuery> Binder::Bind(const ParsedQuery& parsed) {
@@ -63,10 +82,7 @@ Result<BoundQuery> Binder::Bind(const ParsedQuery& parsed) {
   for (const auto& p : predicates) {
     ExprPtr bound;
     COSTDB_ASSIGN_OR_RETURN(bound, BindExpr(*p, scope));
-    if (bound->type != LogicalType::kBool) {
-      return Status::InvalidArgument("predicate is not boolean: " +
-                                     bound->ToString());
-    }
+    COSTDB_RETURN_NOT_OK(RequireBoolean(bound));
     SplitConjuncts(bound, &q.filters);
   }
 
@@ -111,6 +127,7 @@ Result<BoundQuery> Binder::Bind(const ParsedQuery& parsed) {
   if (parsed.having) {
     ExprPtr bound;
     COSTDB_ASSIGN_OR_RETURN(bound, BindExpr(*parsed.having, scope));
+    COSTDB_RETURN_NOT_OK(RequireBoolean(bound));
     q.having = ExtractAggregates(bound, &q);
   }
   for (const auto& item : parsed.order_by) {
@@ -249,6 +266,7 @@ Result<ExprPtr> Binder::BindExpr(const ParsedExpr& e, const Scope& scope) {
     case ParsedExpr::Kind::kNot: {
       ExprPtr child;
       COSTDB_ASSIGN_OR_RETURN(child, BindExpr(*e.children[0], scope));
+      COSTDB_RETURN_NOT_OK(RequireBoolean(child));
       return Expr::MakeNot(std::move(child));
     }
     case ParsedExpr::Kind::kBinary: {
@@ -323,14 +341,7 @@ Result<ExprPtr> Binder::BindExpr(const ParsedExpr& e, const Scope& scope) {
       } else {
         return Status::NotSupported("operator " + e.str_val);
       }
-      const bool l_str = PhysicalTypeOf(l->type) == PhysicalType::kString;
-      const bool r_str = PhysicalTypeOf(r->type) == PhysicalType::kString;
-      if (l_str != r_str) {
-        return Status::InvalidArgument("cannot compare " +
-                                       std::string(LogicalTypeName(l->type)) +
-                                       " with " + LogicalTypeName(r->type));
-      }
-      return Expr::MakeCompare(cmp, std::move(l), std::move(r));
+      return MakeTypedCompare(cmp, std::move(l), std::move(r));
     }
     case ParsedExpr::Kind::kIn: {
       ExprPtr input;
@@ -355,8 +366,11 @@ Result<ExprPtr> Binder::BindExpr(const ParsedExpr& e, const Scope& scope) {
       }
       std::vector<ExprPtr> options;
       for (auto& item : items) {
-        options.push_back(
-            Expr::MakeCompare(CompareOp::kEq, input->Clone(), std::move(item)));
+        ExprPtr option;
+        COSTDB_ASSIGN_OR_RETURN(
+            option,
+            MakeTypedCompare(CompareOp::kEq, input->Clone(), std::move(item)));
+        options.push_back(std::move(option));
       }
       if (options.size() == 1) return options[0];
       return Expr::MakeOr(std::move(options));
@@ -370,9 +384,13 @@ Result<ExprPtr> Binder::BindExpr(const ParsedExpr& e, const Scope& scope) {
       COSTDB_RETURN_NOT_OK(UnifyParamTypes(input, lo));
       COSTDB_RETURN_NOT_OK(UnifyParamTypes(input, hi));
       COSTDB_RETURN_NOT_OK(UnifyParamTypes(input, lo));
-      return Expr::MakeAnd(
-          {Expr::MakeCompare(CompareOp::kGe, input->Clone(), std::move(lo)),
-           Expr::MakeCompare(CompareOp::kLe, std::move(input), std::move(hi))});
+      ExprPtr ge, le;
+      COSTDB_ASSIGN_OR_RETURN(
+          ge, MakeTypedCompare(CompareOp::kGe, input->Clone(), std::move(lo)));
+      COSTDB_ASSIGN_OR_RETURN(le, MakeTypedCompare(CompareOp::kLe,
+                                                   std::move(input),
+                                                   std::move(hi)));
+      return Expr::MakeAnd({std::move(ge), std::move(le)});
     }
     case ParsedExpr::Kind::kFunc: {
       const std::string name = Lower(e.str_val);

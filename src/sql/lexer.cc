@@ -2,6 +2,7 @@
 
 #include <cctype>
 #include <charconv>
+#include <cstdint>
 
 namespace costdb {
 
@@ -47,6 +48,15 @@ Result<std::vector<Token>> Tokenize(const std::string& sql) {
       } else {
         t.kind = TokenKind::kInt;
         parsed = std::from_chars(text.data(), end, t.int_val);
+        uint64_t magnitude = 0;
+        if (parsed.ec == std::errc::result_out_of_range &&
+            std::from_chars(text.data(), end, magnitude).ec == std::errc() &&
+            magnitude == uint64_t{1} << 63) {
+          // INT64_MIN's magnitude: lexed so a unary minus can fold it;
+          // the parser rejects it anywhere else.
+          t.int_val = INT64_MIN;
+          parsed.ec = std::errc();
+        }
       }
       if (parsed.ec != std::errc() || parsed.ptr != end) {
         return Status::InvalidArgument("numeric literal out of range at offset " +

@@ -22,6 +22,8 @@ enum class TokenKind {
 struct Token {
   TokenKind kind = TokenKind::kEnd;
   std::string text;   // identifier text (original case), symbol, or literal
+  /// kInt value; never negative, except INT64_MIN, which stands for the
+  /// magnitude 2^63 and is valid only right after a unary minus.
   int64_t int_val = 0;
   double float_val = 0.0;
   size_t offset = 0;  // byte offset in the SQL text, for error messages

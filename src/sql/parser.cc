@@ -1,5 +1,7 @@
 #include "sql/parser.h"
 
+#include <cstdint>
+
 namespace costdb {
 
 namespace {
@@ -59,7 +61,7 @@ class Parser {
       } while (AcceptSymbol(","));
     }
     if (AcceptKeyword("LIMIT")) {
-      if (Current().kind != TokenKind::kInt) {
+      if (Current().kind != TokenKind::kInt || Current().int_val < 0) {
         return ErrorHere("expected integer after LIMIT");
       }
       q.limit = Current().int_val;
@@ -324,10 +326,21 @@ class Parser {
   Result<ParsedExprPtr> ParseUnary() {
     if (Current().kind == TokenKind::kSymbol && Current().text == "-") {
       Advance();
+      if (Current().kind == TokenKind::kInt && Current().int_val == INT64_MIN) {
+        // -9223372036854775808: the lexer's INT64_MIN magnitude token.
+        auto e = std::make_shared<ParsedExpr>();
+        e->kind = ParsedExpr::Kind::kInt;
+        e->int_val = INT64_MIN;
+        Advance();
+        return ParsedExprPtr(e);
+      }
       ParsedExprPtr child;
       COSTDB_ASSIGN_OR_RETURN(child, ParseUnary());
       // Fold into literal when possible, else 0 - child.
       if (child->kind == ParsedExpr::Kind::kInt) {
+        if (child->int_val == INT64_MIN) {
+          return ErrorHere("numeric literal out of range");
+        }
         child->int_val = -child->int_val;
         return child;
       }
@@ -346,6 +359,7 @@ class Parser {
   Result<ParsedExprPtr> ParsePrimary() {
     const Token& t = Current();
     if (t.kind == TokenKind::kInt) {
+      if (t.int_val < 0) return ErrorHere("numeric literal out of range");
       auto e = std::make_shared<ParsedExpr>();
       e->kind = ParsedExpr::Kind::kInt;
       e->int_val = t.int_val;

@@ -6,7 +6,6 @@
 
 #include "common/stats_math.h"
 #include "cost/calibration_updater.h"
-#include "exec/sharded_engine.h"
 #include "cost/cost_model.h"
 #include "service/query_service.h"
 #include "workload/ssb.h"
@@ -280,148 +279,274 @@ TEST_F(CostTest, SurvivingMorselsFollowPlannerPruneFraction) {
   EXPECT_EQ(SurvivingScanMorsels(scan), 0.0);
 }
 
-TEST_F(CostTest, ObserveFusedMovesOnlyTheFusedTerms) {
-  HardwareCalibration hw;
-  const HardwareCalibration before = hw;
-  CalibrationUpdater updater(&hw);
+using HwField = double HardwareCalibration::*;
 
-  // The fused kernels run 4x slower here than the seeded calibration
-  // claims: predictions must grow by ~scale, nothing else may move.
-  std::vector<FusedObservation> obs(3);
-  for (auto& o : obs) {
-    o.rows = 1e6;
-    o.batches = 120.0;
-    o.seconds = 4.0 * (o.rows / hw.fused_filter_rows_per_sec +
-                       o.batches * hw.fused_dispatch_seconds);
-  }
-  CalibrationReport report = updater.ObserveFused(obs);
-  EXPECT_EQ(report.pipelines_observed, 3);
-  EXPECT_GT(report.applied_scale, 1.0);
-  EXPECT_LT(report.q_error_after, report.q_error_before);
-  EXPECT_DOUBLE_EQ(updater.fused_total_scale(), report.applied_scale);
+/// The time fields of one calibration term group: rates divide by a
+/// round's scale, fixed latencies multiply.
+struct TermFields {
+  std::vector<HwField> rates;
+  std::vector<HwField> latencies;
+};
 
-  // Fused rate slowed, fused dispatch grew...
-  EXPECT_LT(hw.fused_filter_rows_per_sec, before.fused_filter_rows_per_sec);
-  EXPECT_GT(hw.fused_dispatch_seconds, before.fused_dispatch_seconds);
-  // ...and the interpreted rates fusion competes against stayed put.
-  EXPECT_DOUBLE_EQ(hw.filter_rows_per_sec, before.filter_rows_per_sec);
-  EXPECT_DOUBLE_EQ(hw.batch_dispatch_seconds, before.batch_dispatch_seconds);
-  EXPECT_DOUBLE_EQ(hw.scan_gibps_per_node, before.scan_gibps_per_node);
-  EXPECT_DOUBLE_EQ(hw.shuffle_gibps, before.shuffle_gibps);
-
-  // Converges: repeated identical observations shrink the remaining gap.
-  CalibrationReport second = updater.ObserveFused(obs);
-  EXPECT_LT(second.q_error_before, report.q_error_before);
+/// Every group, in CalibrationTerm order — the spec the updater's own
+/// table must match.
+std::vector<std::pair<CalibrationTerm, TermFields>> CalibrationGroups() {
+  using HW = HardwareCalibration;
+  return {
+      {CalibrationTerm::kPipeline,
+       {{&HW::scan_gibps_per_node, &HW::network_gibps_per_node,
+         &HW::filter_rows_per_sec, &HW::project_rows_per_sec,
+         &HW::hash_build_rows_per_sec, &HW::hash_probe_rows_per_sec,
+         &HW::agg_rows_per_sec, &HW::agg_merge_groups_per_sec,
+         &HW::sort_rows_per_sec, &HW::exchange_rows_per_sec},
+        {&HW::shuffle_sync_per_node, &HW::pipeline_startup,
+         &HW::worker_spinup_seconds, &HW::batch_dispatch_seconds}}},
+      {CalibrationTerm::kShuffle,
+       {{&HW::shuffle_gibps}, {&HW::shuffle_dispatch_seconds}}},
+      {CalibrationTerm::kLink,
+       {{&HW::wire_serialize_gibps, &HW::link_gibps},
+        {&HW::link_rtt_seconds}}},
+      {CalibrationTerm::kFused,
+       {{&HW::fused_filter_rows_per_sec}, {&HW::fused_dispatch_seconds}}},
+      {CalibrationTerm::kStorage,
+       {{&HW::storage_read_gibps}, {&HW::storage_get_seconds}}},
+  };
 }
 
-TEST_F(CostTest, ObserveTransportMovesOnlyTheLinkTerms) {
+TEST_F(CostTest, EachCalibrationTermMovesExactlyItsOwnGroup) {
+  const PlannedQuery planned = Prepare(FindQuery("Q1").sql);
+  ASSERT_FALSE(planned.pipelines.pipelines.empty());
+  // A fixed workload priced by each term's own model at `hw`.
+  auto predict = [&](CalibrationTerm term, const HardwareCalibration& hw) {
+    std::vector<Seconds> out;
+    switch (term) {
+      case CalibrationTerm::kPipeline: {
+        CostEstimator estimator(&hw, &node_);
+        for (const auto& p : planned.pipelines.pipelines) {
+          out.push_back(estimator.PipelineDuration(p, 1, planned.volumes));
+        }
+        break;
+      }
+      case CalibrationTerm::kShuffle:
+        for (int i = 1; i <= 3; ++i) {
+          out.push_back(ShuffleCopyTime(hw, i * 4.0 * kMiB) +
+                        ShuffleDispatch(hw, 4.0));
+        }
+        break;
+      case CalibrationTerm::kLink:
+        for (int i = 1; i <= 3; ++i) {
+          out.push_back(LinkTermTime(hw, i * 4.0 * kMiB, 12.0));
+        }
+        break;
+      case CalibrationTerm::kFused:
+        for (int i = 1; i <= 3; ++i) {
+          out.push_back(FusedFilterChainTime(hw, i * 1e6, 120.0, 1));
+        }
+        break;
+      case CalibrationTerm::kStorage:
+        for (int i = 1; i <= 4; ++i) {
+          out.push_back(ColdReadTime(hw, i * 8.0 * kMiB, 16.0));
+        }
+        break;
+    }
+    return out;
+  };
+  auto observe = [&](CalibrationUpdater* updater, CalibrationTerm term,
+                     const HardwareCalibration& hw,
+                     const std::vector<Seconds>& truth) {
+    const std::vector<Seconds> predicted = predict(term, hw);
+    std::vector<CalibrationObservation> pairs;
+    for (size_t i = 0; i < truth.size(); ++i) {
+      pairs.push_back({static_cast<int>(i), predicted[i], truth[i]});
+    }
+    return updater->Observe(term, pairs);
+  };
+
+  for (const auto& entry : CalibrationGroups()) {
+    const CalibrationTerm term = entry.first;
+    SCOPED_TRACE(static_cast<int>(term));
+    HardwareCalibration hw;
+    const HardwareCalibration before = hw;
+    CalibrationUpdater updater(&hw);
+
+    // The hardware runs 3x slower than the seeded calibration claims:
+    // the term's group must move by ~scale and nothing else may — a
+    // pipeline round, which every duration includes, moves every group.
+    std::vector<Seconds> truth = predict(term, hw);
+    for (auto& t : truth) t *= 3.0;
+    CalibrationReport report = observe(&updater, term, hw, truth);
+    EXPECT_EQ(report.pipelines_observed, static_cast<int>(truth.size()));
+    EXPECT_GT(report.applied_scale, 1.0);
+    EXPECT_LT(report.q_error_after, report.q_error_before);
+    EXPECT_EQ(updater.rounds(), 1);
+    for (const auto& [group, fields] : CalibrationGroups()) {
+      const bool moves = term == CalibrationTerm::kPipeline || group == term;
+      for (HwField f : fields.rates) {
+        if (moves) {
+          EXPECT_LT(hw.*f, before.*f);
+        } else {
+          EXPECT_EQ(hw.*f, before.*f);
+        }
+      }
+      for (HwField f : fields.latencies) {
+        if (moves) {
+          EXPECT_GT(hw.*f, before.*f);
+        } else {
+          EXPECT_EQ(hw.*f, before.*f);
+        }
+      }
+      EXPECT_DOUBLE_EQ(updater.total_scale(group),
+                       moves ? report.applied_scale : 1.0);
+    }
+    // Configuration, sizes and the parallel decay are not time terms.
+    EXPECT_EQ(hw.exchange_transport, before.exchange_transport);
+    EXPECT_EQ(hw.vector_batch_rows, before.vector_batch_rows);
+    EXPECT_EQ(hw.parallel_alpha, before.parallel_alpha);
+
+    // Converges: repeated identical observations shrink the remaining gap.
+    CalibrationReport second = observe(&updater, term, hw, truth);
+    EXPECT_LT(second.q_error_before, report.q_error_before);
+
+    // The pipeline loop moves every group, and each group's drift tracker
+    // records that movement, so the cumulative clamp sees it.
+    const double tracked = updater.total_scale(term);
+    CalibrationReport uniform = updater.Observe(
+        CalibrationTerm::kPipeline, {{0, 1.0, 2.0}, {1, 1.0, 2.0}});
+    EXPECT_GT(uniform.applied_scale, 1.0);
+    EXPECT_DOUBLE_EQ(updater.total_scale(term),
+                     tracked * uniform.applied_scale);
+  }
+
+  // In-process exchanges carry no link share (no wire bytes, no link
+  // seconds): their pairs have no ratio, so the round is a no-op instead
+  // of dragging the link terms toward zero.
   HardwareCalibration hw;
   const HardwareCalibration before = hw;
   CalibrationUpdater updater(&hw);
-
-  // The measured serialize+transfer share of each exchange runs 3x slower
-  // than the seeded link terms predict: the three link terms must move by
-  // ~scale, every other tier — including the shuffle copy term the link
-  // share was subtracted from — must stay put.
-  std::vector<ExchangeTiming> timings(3);
-  for (auto& t : timings) {
-    t.transport = TransportKind::kSocket;
-    t.bytes = 4.0 * kMiB;
-    t.partitions = 4;
-    t.wire_bytes = 4.0 * kMiB;
-    t.transfers = 12;
-    t.link_seconds =
-        3.0 * (t.wire_bytes / (hw.wire_serialize_gibps * kGiB) +
-               t.wire_bytes / (hw.link_gibps * kGiB) +
-               static_cast<double>(t.transfers) * hw.link_rtt_seconds);
-    t.seconds = t.link_seconds + 0.002;
-  }
-  CalibrationReport report = updater.ObserveTransport(timings);
-  EXPECT_EQ(report.pipelines_observed, 3);
-  EXPECT_GT(report.applied_scale, 1.0);
-  EXPECT_LT(report.q_error_after, report.q_error_before);
-  EXPECT_DOUBLE_EQ(updater.link_total_scale(), report.applied_scale);
-
-  // Serialize and link bandwidth slowed, per-transfer RTT grew...
-  EXPECT_LT(hw.wire_serialize_gibps, before.wire_serialize_gibps);
-  EXPECT_LT(hw.link_gibps, before.link_gibps);
-  EXPECT_GT(hw.link_rtt_seconds, before.link_rtt_seconds);
-  // ...and everything else stayed put, most importantly the shuffle copy
-  // term that shares the same measured exchanges.
-  EXPECT_DOUBLE_EQ(hw.shuffle_gibps, before.shuffle_gibps);
-  EXPECT_DOUBLE_EQ(hw.shuffle_dispatch_seconds,
-                   before.shuffle_dispatch_seconds);
-  EXPECT_DOUBLE_EQ(hw.scan_gibps_per_node, before.scan_gibps_per_node);
-  EXPECT_DOUBLE_EQ(hw.filter_rows_per_sec, before.filter_rows_per_sec);
-  EXPECT_DOUBLE_EQ(hw.fused_filter_rows_per_sec,
-                   before.fused_filter_rows_per_sec);
-  EXPECT_DOUBLE_EQ(hw.storage_read_gibps, before.storage_read_gibps);
-  // The configuration knob is not a calibrated term.
-  EXPECT_EQ(hw.exchange_transport, before.exchange_transport);
-
-  // In-process timings (no wire bytes) are not link observations: the
-  // round is a no-op instead of dragging the link terms toward zero.
-  std::vector<ExchangeTiming> inproc(2);
-  for (auto& t : inproc) {
-    t.bytes = kMiB;
-    t.seconds = 0.01;
-  }
-  const double serialize_now = hw.wire_serialize_gibps;
-  CalibrationReport empty = updater.ObserveTransport(inproc);
+  CalibrationReport empty = updater.Observe(
+      CalibrationTerm::kLink, {{0, LinkTermTime(hw, 0.0, 0.0), 0.0},
+                               {1, LinkTermTime(hw, 0.0, 0.0), 0.0}});
   EXPECT_EQ(empty.pipelines_observed, 0);
-  EXPECT_DOUBLE_EQ(hw.wire_serialize_gibps, serialize_now);
-
-  // ObserveShuffles on transported timings calibrates the copy term
-  // against seconds *minus* the link share — with the link share exactly
-  // excluded, a link slowdown alone cannot move shuffle_gibps upward into
-  // pretending the copy path got slower.
-  CalibrationReport second = updater.ObserveTransport(timings);
-  EXPECT_LT(second.q_error_before, report.q_error_before);
+  EXPECT_EQ(empty.applied_scale, 1.0);
+  EXPECT_EQ(updater.rounds(), 0);
+  EXPECT_EQ(hw.wire_serialize_gibps, before.wire_serialize_gibps);
+  EXPECT_EQ(updater.total_scale(CalibrationTerm::kLink), 1.0);
 }
 
-TEST_F(CostTest, ObserveStorageMovesOnlyTheStorageTerms) {
+TEST_F(CostTest, CalibrationGoldenSequenceIsBitStable) {
+  // An interleaved sequence over every term group that drives the storage
+  // tracker into the 1024x cumulative clamp. The expected values were
+  // recorded from the per-term observers this updater replaced; a
+  // calibration refactor must reproduce every bit of them.
   HardwareCalibration hw;
-  const HardwareCalibration before = hw;
   CalibrationUpdater updater(&hw);
-
-  // Cold-block reads run 3x slower than the seeded calibration claims:
-  // the storage tier must move by ~scale, nothing else may.
-  std::vector<StorageObservation> obs(4);
-  for (auto& o : obs) {
-    o.bytes = 8.0 * kMiB;
-    o.blocks = 16.0;
-    o.seconds = 3.0 * (o.bytes / (hw.storage_read_gibps * kGiB) +
-                       o.blocks * hw.storage_get_seconds);
+  // Pairs predicted from each term's model at the current calibration,
+  // from the measurements Database::Calibrate reads.
+  auto shuffle = [&](double bytes, double partitions, double seconds,
+                     double link_seconds) {
+    return CalibrationObservation{
+        0, ShuffleCopyTime(hw, bytes) + ShuffleDispatch(hw, partitions),
+        seconds - link_seconds};
+  };
+  auto link = [&](double wire_bytes, double transfers, double link_seconds) {
+    return CalibrationObservation{0, LinkTermTime(hw, wire_bytes, transfers),
+                                  link_seconds};
+  };
+  auto fused = [&](double rows, double batches, double seconds) {
+    return CalibrationObservation{
+        0,
+        rows > 0.0 ? FusedFilterChainTime(hw, rows, batches, 1)
+                   : batches * hw.fused_dispatch_seconds,
+        seconds};
+  };
+  auto storage = [&](double bytes, double blocks, double seconds) {
+    return CalibrationObservation{0, ColdReadTime(hw, bytes, blocks),
+                                  seconds};
+  };
+  using T = CalibrationTerm;
+  std::vector<CalibrationReport> reports;
+  reports.push_back(
+      updater.Observe(T::kPipeline, {{0, 1.0, 3.0}, {1, 2.0, 5.0}}));
+  reports.push_back(updater.Observe(
+      T::kShuffle, {shuffle(4.0 * kMiB, 4, 0.01, 0.0),
+                    shuffle(1.0 * kMiB, 2, 0.004, 0.001)}));
+  reports.push_back(updater.Observe(
+      T::kLink, {link(0.0, 0, 0.0), link(1.0 * kMiB, 3, 0.001)}));
+  reports.push_back(updater.Observe(
+      T::kFused, {fused(1e6, 100.0, 0.05), fused(0.0, 10.0, 1e-3)}));
+  for (int i = 0; i < 5; ++i) {
+    reports.push_back(
+        updater.Observe(T::kStorage, {storage(8.0 * kMiB, 16.0, 100.0)}));
   }
-  CalibrationReport report = updater.ObserveStorage(obs);
-  EXPECT_EQ(report.pipelines_observed, 4);
-  EXPECT_GT(report.applied_scale, 1.0);
-  EXPECT_LT(report.q_error_after, report.q_error_before);
-  EXPECT_DOUBLE_EQ(updater.storage_total_scale(), report.applied_scale);
+  reports.push_back(updater.Observe(T::kPipeline, {{0, 4.0, 1.0}}));
+  reports.push_back(updater.Observe(T::kLink, {link(0.0, 0, 0.0)}));
+  reports.push_back(updater.Observe(
+      T::kShuffle, {shuffle(4.0 * kMiB, 4, 0.01, 0.0),
+                    shuffle(1.0 * kMiB, 1, 0.001, 0.002)}));
+  reports.push_back(updater.Observe(
+      T::kFused, {fused(5e5, 50.0, 0.0), fused(2e5, 20.0, 0.02)}));
 
-  // Cold-read bandwidth slowed, per-GET latency grew...
-  EXPECT_LT(hw.storage_read_gibps, before.storage_read_gibps);
-  EXPECT_GT(hw.storage_get_seconds, before.storage_get_seconds);
-  // ...and every other tier stayed put, including the object-store scan
-  // bandwidth the storage terms deliberately sit below.
-  EXPECT_DOUBLE_EQ(hw.scan_gibps_per_node, before.scan_gibps_per_node);
-  EXPECT_DOUBLE_EQ(hw.filter_rows_per_sec, before.filter_rows_per_sec);
-  EXPECT_DOUBLE_EQ(hw.shuffle_gibps, before.shuffle_gibps);
-  EXPECT_DOUBLE_EQ(hw.fused_filter_rows_per_sec,
-                   before.fused_filter_rows_per_sec);
-
-  // The uniform pipeline loop moves the storage terms too, and the drift
-  // tracker records that movement.
-  std::vector<CalibrationObservation> pairs(2);
-  for (auto& p : pairs) {
-    p.predicted = 1.0;
-    p.actual = 2.0;
+  struct Expected {
+    int observed;
+    double q_before, q_after, applied;
+  };
+  const std::vector<Expected> expected = {
+      {2, 2.738612787525831, 1.6548754598234363, 1.6548754598234368},
+      {2, 4.0357612830217837, 2.0089204272498655, 2.008920427249866},
+      {1, 1.4602983061488846, 1.2084280310175219, 0.82752135363657464},
+      {2, 25.85742905974119, 5.0850200648317214, 5.0850200648317196},
+      {1, 1268.8190645067789, 158.60238306334745, 8},
+      {1, 158.60238306334745, 19.825297882918427, 8},
+      {1, 19.825297882918427, 4.4525608230453644, 4.4525608230453662},
+      {1, 4.4525608230453644, 2.1101091969481969, 2.1101091969481969},
+      {1, 2.1101091969481969, 2.0505249343832017, 1.0290580531676969},
+      {1, 4, 2, 0.5},
+      {0, 1, 1, 1},
+      {1, 4.669724497655606, 2.160954533916807, 2.1609545339168075},
+      {1, 6.9629504871867907, 2.6387403220451215, 2.6387403220451211},
+  };
+  ASSERT_EQ(reports.size(), expected.size());
+  for (size_t i = 0; i < reports.size(); ++i) {
+    SCOPED_TRACE(i);
+    EXPECT_EQ(reports[i].pipelines_observed, expected[i].observed);
+    EXPECT_EQ(reports[i].q_error_before, expected[i].q_before);
+    EXPECT_EQ(reports[i].q_error_after, expected[i].q_after);
+    EXPECT_EQ(reports[i].applied_scale, expected[i].applied);
   }
-  const double tracked = updater.storage_total_scale();
-  CalibrationReport uniform = updater.ObservePairs(pairs);
-  EXPECT_GT(uniform.applied_scale, 1.0);
-  EXPECT_DOUBLE_EQ(updater.storage_total_scale(),
-                   tracked * uniform.applied_scale);
+  // Storage hit the clamp: its fifth round only closed the gap to 1024x,
+  // and the later 0.5 pipeline round left it at exactly half of that.
+  EXPECT_EQ(updater.total_scale(T::kStorage), 512.0);
+  EXPECT_EQ(updater.total_scale(T::kPipeline), 0.82743772991171838);
+  EXPECT_EQ(updater.total_scale(T::kShuffle), 3.5920608453202703);
+  EXPECT_EQ(updater.total_scale(T::kLink), 0.6847223903065196);
+  EXPECT_EQ(updater.total_scale(T::kFused), 11.102598749578299);
+  EXPECT_EQ(updater.rounds(), 12);
+
+  EXPECT_EQ(hw.scan_gibps_per_node, 1.208550158942707);
+  EXPECT_EQ(hw.network_gibps_per_node, 1.5106876986783839);
+  EXPECT_EQ(hw.filter_rows_per_sec, 483420063.57708281);
+  EXPECT_EQ(hw.project_rows_per_sec, 604275079.47135353);
+  EXPECT_EQ(hw.hash_build_rows_per_sec, 60427507.947135352);
+  EXPECT_EQ(hw.hash_probe_rows_per_sec, 96684012.715416566);
+  EXPECT_EQ(hw.agg_rows_per_sec, 72513009.536562428);
+  EXPECT_EQ(hw.agg_merge_groups_per_sec, 24171003.178854141);
+  EXPECT_EQ(hw.sort_rows_per_sec, 18128252.384140607);
+  EXPECT_EQ(hw.exchange_rows_per_sec, 120855015.8942707);
+  EXPECT_EQ(hw.shuffle_sync_per_node, 0.0082743772991171836);
+  EXPECT_EQ(hw.pipeline_startup, 0.45509075145144512);
+  EXPECT_EQ(hw.worker_spinup_seconds, 0.066195018392937469);
+  EXPECT_EQ(hw.batch_dispatch_seconds, 4.1371886495585919e-07);
+  EXPECT_EQ(hw.shuffle_gibps, 2.2271337665180093);
+  EXPECT_EQ(hw.shuffle_dispatch_seconds, 0.00071841216906405418);
+  EXPECT_EQ(hw.wire_serialize_gibps, 5.8417835558281928);
+  EXPECT_EQ(hw.link_gibps, 2.9208917779140964);
+  EXPECT_EQ(hw.link_rtt_seconds, 3.423611951532599e-05);
+  EXPECT_EQ(hw.fused_filter_rows_per_sec, 27020700.897742044);
+  EXPECT_EQ(hw.fused_dispatch_seconds, 8.8820789996626387e-06);
+  EXPECT_EQ(hw.storage_read_gibps, 0.00097656249999999978);
+  EXPECT_EQ(hw.storage_get_seconds, 1.0240000000000002);
+  EXPECT_EQ(hw.parallel_alpha, 0.12);
+  EXPECT_EQ(hw.vector_batch_rows, 4096);
 }
 
 }  // namespace

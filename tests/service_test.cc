@@ -14,7 +14,6 @@ namespace {
 DatabaseOptions SmallDbOptions() {
   DatabaseOptions opts;
   opts.exec_threads = 4;
-  opts.batch_threads = 4;
   return opts;
 }
 
@@ -111,6 +110,74 @@ TEST(DatabaseTest, OverflowingNumericLiteralIsInvalidArgument) {
     ASSERT_FALSE(r.ok()) << sql;
     EXPECT_TRUE(r.status().IsInvalidArgument()) << r.status().ToString();
   }
+}
+
+TEST(DatabaseTest, MixedTypeInAndBetweenAreInvalidArgument) {
+  auto db = MakeSsbDatabase();
+  for (const char* sql :
+       {"SELECT lo_orderkey FROM lineorder WHERE lo_quantity IN ('a', 'b')",
+        "SELECT lo_orderkey FROM lineorder WHERE lo_quantity IN (1, 'b')",
+        "SELECT lo_orderkey FROM lineorder WHERE lo_quantity BETWEEN 'a' "
+        "AND 'b'",
+        "SELECT lo_orderkey FROM lineorder WHERE lo_quantity BETWEEN 1 AND "
+        "'b'",
+        "SELECT c_name FROM customer WHERE c_name IN (1, 2)"}) {
+    auto r = db->ExecuteSql(sql);
+    ASSERT_FALSE(r.ok()) << sql;
+    EXPECT_TRUE(r.status().IsInvalidArgument()) << r.status().ToString();
+  }
+  // Same-typed lists and bounds, and placeholders, still bind.
+  EXPECT_TRUE(db->ExecuteSql("SELECT lo_orderkey FROM lineorder WHERE "
+                             "lo_quantity IN (1, 2) AND lo_quantity BETWEEN "
+                             "1 AND 10")
+                  .ok());
+  EXPECT_TRUE(
+      db->BindSql("SELECT c_name FROM customer WHERE c_name IN (?, 'x')")
+          .ok());
+  EXPECT_TRUE(
+      db->BindSql("SELECT c_name FROM customer WHERE c_name BETWEEN ? AND ?")
+          .ok());
+}
+
+TEST(DatabaseTest, NonBooleanNotAndHavingAreInvalidArgument) {
+  auto db = MakeSsbDatabase();
+  for (const char* sql :
+       {"SELECT NOT lo_quantity FROM lineorder",
+        "SELECT lo_orderkey FROM lineorder WHERE NOT lo_quantity",
+        "SELECT c_name FROM customer GROUP BY c_name HAVING c_name",
+        "SELECT c_name FROM customer GROUP BY c_name HAVING count(*)"}) {
+    auto r = db->ExecuteSql(sql);
+    ASSERT_FALSE(r.ok()) << sql;
+    EXPECT_TRUE(r.status().IsInvalidArgument()) << r.status().ToString();
+  }
+  EXPECT_TRUE(db->ExecuteSql("SELECT lo_orderkey FROM lineorder WHERE NOT "
+                             "lo_quantity > 10")
+                  .ok());
+  EXPECT_TRUE(db->ExecuteSql("SELECT c_name FROM customer GROUP BY c_name "
+                             "HAVING count(*) > 0")
+                  .ok());
+}
+
+TEST(DatabaseTest, Int64MinLiteralRoundTrips) {
+  auto db = MakeSsbDatabase();
+  auto all = db->ExecuteSql("SELECT count(*) FROM lineorder");
+  ASSERT_TRUE(all.ok()) << all.status().ToString();
+  auto min = db->ExecuteSql(
+      "SELECT count(*) FROM lineorder WHERE lo_orderkey > "
+      "-9223372036854775808");
+  ASSERT_TRUE(min.ok()) << min.status().ToString();
+  EXPECT_EQ(Render(min->result), Render(all->result));
+  auto none = db->ExecuteSql(
+      "SELECT lo_orderkey FROM lineorder WHERE lo_orderkey = "
+      "-9223372036854775808");
+  ASSERT_TRUE(none.ok()) << none.status().ToString();
+  EXPECT_EQ(none->result.chunk.num_rows(), 0u);
+  // The bare magnitude is still out of range.
+  auto bare = db->ExecuteSql(
+      "SELECT lo_orderkey FROM lineorder WHERE lo_orderkey < "
+      "9223372036854775808");
+  ASSERT_FALSE(bare.ok());
+  EXPECT_TRUE(bare.status().IsInvalidArgument()) << bare.status().ToString();
 }
 
 TEST(DatabaseTest, ExecuteReportsPlanAndTimings) {

@@ -745,7 +745,7 @@ TEST_F(ShardedTest, ShuffleCalibrationTightensWithObservations) {
   // q-error never exceeds the pre-round one, and the shuffle term moved.
   EXPECT_LE(last.q_error_after, last.q_error_before * 1.0001);
   EXPECT_NE(db.hardware()->shuffle_gibps, gibps_before);
-  EXPECT_NE(db.calibration().shuffle_total_scale(), 1.0);
+  EXPECT_NE(db.calibration().total_scale(CalibrationTerm::kShuffle), 1.0);
 }
 
 TEST_F(ShardedTest, BitIdenticalAcrossTransports) {
@@ -934,7 +934,7 @@ TEST_F(ShardedTest, FacadeBillsEgressAndCalibratesLinkTermsOverSocket) {
   // terms off their priors.
   EXPECT_TRUE(db.hardware()->wire_serialize_gibps != serialize_before ||
               db.hardware()->link_gibps != link_before);
-  EXPECT_NE(db.calibration().link_total_scale(), 1.0);
+  EXPECT_NE(db.calibration().total_scale(CalibrationTerm::kLink), 1.0);
 }
 
 TEST_F(ShardedTest, SimulatorParityOnSmallWorkload) {

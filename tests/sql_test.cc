@@ -40,6 +40,32 @@ TEST(LexerTest, Errors) {
   auto max = Tokenize("SELECT 9223372036854775807");
   ASSERT_TRUE(max.ok());
   EXPECT_EQ((*max)[1].int_val, INT64_MAX);
+  // 2^63 lexes only as INT64_MIN's magnitude; one past it never lexes.
+  auto magnitude = Tokenize("SELECT 9223372036854775808");
+  ASSERT_TRUE(magnitude.ok());
+  EXPECT_EQ((*magnitude)[1].int_val, INT64_MIN);
+  EXPECT_TRUE(
+      Tokenize("SELECT 9223372036854775809").status().IsInvalidArgument());
+  EXPECT_TRUE(
+      Tokenize("SELECT -9223372036854775809").status().IsInvalidArgument());
+}
+
+TEST(ParserTest, Int64MinFoldsOnlyUnderUnaryMinus) {
+  for (const char* sql : {"SELECT -9223372036854775808 FROM t",
+                          "SELECT - 9223372036854775808 FROM t"}) {
+    auto r = ParseQuery(sql);
+    ASSERT_TRUE(r.ok()) << sql << ": " << r.status().ToString();
+    ASSERT_EQ(r->select_items.size(), 1u);
+    EXPECT_EQ(r->select_items[0].expr->int_val, INT64_MIN) << sql;
+  }
+  for (const char* sql : {"SELECT 9223372036854775808 FROM t",
+                          "SELECT - -9223372036854775808 FROM t",
+                          "SELECT 1 - 9223372036854775808 FROM t",
+                          "SELECT a FROM t LIMIT 9223372036854775808"}) {
+    auto r = ParseQuery(sql);
+    ASSERT_FALSE(r.ok()) << sql;
+    EXPECT_TRUE(r.status().IsInvalidArgument()) << r.status().ToString();
+  }
 }
 
 TEST(ParserTest, SimpleSelect) {

@@ -332,7 +332,6 @@ TEST(TenantFairShareTest, SetTenantQuotaAppliesToQueuedWork) {
 DatabaseOptions TenantDbOptions() {
   DatabaseOptions opts;
   opts.exec_threads = 4;
-  opts.batch_threads = 4;
   opts.enable_calibration = false;
   opts.enable_result_cache = true;
   return opts;
