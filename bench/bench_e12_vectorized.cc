@@ -1,5 +1,6 @@
 // E12 — vectorized execution microbench: the same selective SSB filter
-// scan four ways over lineorder row groups.
+// scan three ways over lineorder row groups, plus a mid-selectivity hot
+// shape on the vectorized kernels.
 //
 //   scalar      row-at-a-time reference interpreter (boxed Values), every
 //               row group touched — what the engine hot path looked like
@@ -9,16 +10,10 @@
 //   pruned      vectorized kernels behind zone-map morsel skipping — row
 //               groups whose min/max cannot satisfy the predicate are
 //               never read.
-//   fused       the fused-kernel tier behind the same zone maps: the whole
-//               conjunction compiled once (FusedKernelRegistry) and run as
-//               a single short-circuiting pass per morsel, so the three
-//               intermediate selection vectors and three extra kernel
-//               dispatches of the vectorized path never happen.
 //
 // All paths must select the same rows with bit-identical revenue sums
-// (checked); the interesting outputs are the speedups, the fraction of
-// morsels the zone maps skip, and the fused-over-vectorized gain — the
-// measured gap the fuse_kernels cost term prices. This bench probes the
+// (checked); the interesting outputs are the speedups and the fraction of
+// morsels the zone maps skip. This bench probes the
 // kernel layer directly (Expr + Evaluator + Table, the same surface the
 // unit tests use); end-to-end SQL still enters through the Database facade
 // as ROADMAP.md requires.
@@ -33,7 +28,6 @@
 
 #include "bench_util.h"
 #include "exec/evaluator.h"
-#include "exec/fused.h"
 
 using namespace costdb;
 using namespace costdb::bench;
@@ -62,9 +56,8 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--smoke") == 0) {
       scale = 0.02;
-      // The fused-over-vectorized ratio IS gated in smoke mode, so smoke
-      // needs enough repetitions for the per-iteration average to be a
-      // usable timer at tiny scale (single-iteration times are ~tens of
+      // Enough repetitions for the per-iteration average to be a usable
+      // timer at tiny scale (single-iteration times are ~tens of
       // microseconds on the pruned morsel set).
       iters = 20;
       smoke = true;
@@ -78,8 +71,7 @@ int main(int argc, char** argv) {
 
   PrintHeader("E12: vectorized scan/filter kernels",
               "Selective SSB filter scan: scalar reference interpreter vs\n"
-              "selection-vector kernels vs kernels + zone-map pruning vs\n"
-              "the fused single-pass conjunction kernel.");
+              "selection-vector kernels vs kernels + zone-map pruning.");
 
   MetadataService meta;
   SsbOptions opts;
@@ -110,44 +102,21 @@ int main(int argc, char** argv) {
   SplitConjuncts(predicate, &conjuncts);
 
   std::vector<std::string> schema;
-  std::vector<LogicalType> schema_types;
-  for (const auto& c : table->columns()) {
-    schema.push_back(c.name);
-    schema_types.push_back(c.type);
-  }
+  for (const auto& c : table->columns()) schema.push_back(c.name);
   Evaluator ev(&schema);
   const size_t revenue_idx = *table->ColumnIndex("lo_revenue");
 
-  // The fused tier: the whole conjunction compiled once, up front — the
-  // same dispatch point (FusedKernelRegistry) the optimizer's fuse_kernels
-  // pass and the engine use, so this bench measures exactly the kernel the
-  // engine runs when a plan is annotated fused.
-  auto fused_pred =
-      FusedKernelRegistry::Global().Compile(*predicate, schema, schema_types);
-  if (!fused_pred.has_value()) {
-    std::printf("FAIL: fused registry declined the bench predicate\n");
-    return 1;
-  }
-
-  // The fused tier's hot shape, measured separately and gated: the
-  // mid-selectivity residual conjunction that survives after the zone maps
-  // have consumed the clustering-key conjunct. Per-pass narrowing is at
-  // its worst here — every vectorized pass keeps 30-90% of its input, so
-  // the survivor-append branch mispredicts on a large fraction of rows and
-  // two intermediate selection vectors materialize — while the fused
-  // branch-free kernel's cost is flat. This is the shape the fuse_kernels
-  // cost term prices in favor of fusion.
+  // The hot shape, measured separately: the mid-selectivity residual
+  // conjunction that survives after the zone maps have consumed the
+  // clustering-key conjunct. Per-pass narrowing is at its worst here —
+  // every vectorized pass keeps 30-90% of its input, so the survivor-append
+  // branch mispredicts on a large fraction of rows and two intermediate
+  // selection vectors materialize.
   ExprPtr hot_predicate = Expr::MakeAnd({
       Expr::MakeCompare(CompareOp::kGe, col("lo_discount"), lit(1)),
       Expr::MakeCompare(CompareOp::kLe, col("lo_discount"), lit(3)),
       Expr::MakeCompare(CompareOp::kLt, col("lo_quantity"), lit(25)),
   });
-  auto fused_hot = FusedKernelRegistry::Global().Compile(*hot_predicate,
-                                                         schema, schema_types);
-  if (!fused_hot.has_value()) {
-    std::printf("FAIL: fused registry declined the hot-shape predicate\n");
-    return 1;
-  }
 
   auto sum_selected = [&](const ColumnVector& rev, const SelectionVector& sel,
                           PhaseResult* r) {
@@ -155,17 +124,13 @@ int main(int argc, char** argv) {
     r->rows_selected += static_cast<int64_t>(sel.size());
   };
 
-  // Modes: 0 scalar, 1 vectorized, 2 pruned vectorized, 3 pruned fused,
-  // 4 fused over every morsel (the hot-shape gate needs both paths to
-  // touch the identical morsel set without pruning in the way).
-  SelectionVector fused_sel;
+  // Modes: 0 scalar, 1 vectorized, 2 pruned vectorized.
   // Each phase is timed as the best of `reps` repetitions of the whole
-  // iteration loop. The gated numbers are kernel-vs-kernel *ratios* at
+  // iteration loop. The speedup is a kernel-vs-kernel *ratio* at
   // microsecond scale, where a scheduler hiccup during one phase skews the
-  // ratio by 2-3x; the minimum is the run least disturbed by interference
-  // and is what makes the smoke-mode gate reliable on a loaded CI box.
+  // ratio by 2-3x; the minimum is the run least disturbed by interference.
   const int reps = 3;
-  auto run_phase = [&](int mode, const Expr& pred, const FusedPredicate& fp) {
+  auto run_phase = [&](int mode, const Expr& pred) {
     PhaseResult r;
     double best_seconds = 0.0;
     for (int rep = 0; rep < reps; ++rep) {
@@ -177,7 +142,7 @@ int main(int argc, char** argv) {
       r.morsels_total = 0;
       for (const auto& group : table->row_groups()) {
         ++r.morsels_total;
-        if (mode == 2 || mode == 3) {
+        if (mode == 2) {
           bool prunable = false;
           for (const auto& f : conjuncts) {
             std::string c;
@@ -195,15 +160,6 @@ int main(int argc, char** argv) {
         }
         ++r.morsels_touched;
         ChunkView view(group.data);
-        if (mode == 3 || mode == 4) {
-          Status st = fp.Select(view, &fused_sel);
-          if (!st.ok()) {
-            std::printf("fused phase failed: %s\n", st.ToString().c_str());
-            std::exit(1);
-          }
-          sum_selected(group.data.column(revenue_idx), fused_sel, &r);
-          continue;
-        }
         auto sel = mode == 0 ? ev.EvaluateSelectionScalar(pred, view)
                              : ev.EvaluateSelection(pred, view);
         if (!sel.ok()) {
@@ -221,42 +177,29 @@ int main(int argc, char** argv) {
     return r;
   };
 
-  PhaseResult scalar = run_phase(0, *predicate, *fused_pred);
-  PhaseResult vectorized = run_phase(1, *predicate, *fused_pred);
-  PhaseResult pruned = run_phase(2, *predicate, *fused_pred);
-  PhaseResult fused = run_phase(3, *predicate, *fused_pred);
-  PhaseResult hot_vec = run_phase(1, *hot_predicate, *fused_hot);
-  PhaseResult hot_fused = run_phase(4, *hot_predicate, *fused_hot);
+  PhaseResult scalar = run_phase(0, *predicate);
+  PhaseResult vectorized = run_phase(1, *predicate);
+  PhaseResult pruned = run_phase(2, *predicate);
+  PhaseResult hot_vec = run_phase(1, *hot_predicate);
 
   if (scalar.rows_selected != vectorized.rows_selected ||
-      scalar.rows_selected != pruned.rows_selected ||
-      scalar.rows_selected != fused.rows_selected) {
+      scalar.rows_selected != pruned.rows_selected) {
     std::printf("FAIL: paths disagree (scalar %lld, vectorized %lld, "
-                "pruned %lld, fused %lld)\n",
+                "pruned %lld)\n",
                 static_cast<long long>(scalar.rows_selected),
                 static_cast<long long>(vectorized.rows_selected),
-                static_cast<long long>(pruned.rows_selected),
-                static_cast<long long>(fused.rows_selected));
-    return 1;
-  }
-  if (hot_vec.rows_selected != hot_fused.rows_selected) {
-    std::printf("FAIL: hot-shape paths disagree (vectorized %lld, "
-                "fused %lld)\n",
-                static_cast<long long>(hot_vec.rows_selected),
-                static_cast<long long>(hot_fused.rows_selected));
+                static_cast<long long>(pruned.rows_selected));
     return 1;
   }
   // Bit-identical, not approximately equal: every path visits survivors in
   // ascending row order within the same group order (pruned groups
-  // contribute nothing), so the revenue folds of a shape add the same
-  // doubles in the same sequence.
-  if (scalar.revenue != vectorized.revenue || scalar.revenue != pruned.revenue ||
-      scalar.revenue != fused.revenue || hot_vec.revenue != hot_fused.revenue) {
+  // contribute nothing), so the revenue folds add the same doubles in the
+  // same sequence.
+  if (scalar.revenue != vectorized.revenue ||
+      scalar.revenue != pruned.revenue) {
     std::printf("FAIL: revenue sums are not bit-identical "
-                "(scalar %.17g, vectorized %.17g, pruned %.17g, fused %.17g, "
-                "hot vectorized %.17g, hot fused %.17g)\n",
-                scalar.revenue, vectorized.revenue, pruned.revenue,
-                fused.revenue, hot_vec.revenue, hot_fused.revenue);
+                "(scalar %.17g, vectorized %.17g, pruned %.17g)\n",
+                scalar.revenue, vectorized.revenue, pruned.revenue);
     return 1;
   }
 
@@ -286,9 +229,7 @@ int main(int argc, char** argv) {
   row("scalar (row-at-a-time)", scalar);
   row("vectorized", vectorized);
   row("vectorized + zone maps", pruned);
-  row("fused + zone maps", fused);
   row("hot shape: vectorized", hot_vec);
-  row("hot shape: fused", hot_fused);
   std::printf("%s", t.ToString().c_str());
   std::printf("zone maps pruned %.0f%% of morsels; hot shape selects %lld "
               "rows (%.1f%%) on every morsel\n",
@@ -298,29 +239,14 @@ int main(int argc, char** argv) {
                   static_cast<double>(rows));
 
   const double speedup = scalar.seconds / pruned.seconds;
-  // Same pruned morsel set, full 4-conjunct predicate: reported for the
-  // trajectory, not gated — the boundary morsel (partially matching the
-  // clustering-key conjunct) makes this ratio geometry-dependent.
-  const double fused_speedup = pruned.seconds / fused.seconds;
-  // The gated kernel-vs-kernel comparison: the mid-selectivity residual
-  // conjunction over the identical (every-morsel) set. One branch-free
-  // pass against k narrowing passes with k-1 intermediate selection
-  // vectors and a mispredict-prone survivor branch per pass. Gated even in
-  // smoke mode — smoke runs enough iterations to make the ratio stable.
-  const double hot_speedup = hot_vec.seconds / hot_fused.seconds;
   // A single tiny-scale run on a loaded CI box is not a reliable absolute
   // timer, so smoke mode does not gate the scalar-path speedup — but
-  // parity (above), pruning, and the hot-shape fused ratio always gate.
-  const bool ok = (smoke || speedup >= 3.0) && pruned_frac >= 0.5 &&
-                  hot_speedup >= 1.5;
+  // parity (above) and pruning always gate.
+  const bool ok = (smoke || speedup >= 3.0) && pruned_frac >= 0.5;
   std::printf("%s: vectorized+pruned is %.1fx the scalar path "
-              "(target >= 3x%s), pruning %.0f%% of morsels (target >= 50%%), "
-              "fused is %.2fx the vectorized kernels on the hot shape "
-              "(target >= 1.5x; %.2fx on the pruned 4-conjunct shape, "
-              "not gated)\n",
+              "(target >= 3x%s), pruning %.0f%% of morsels (target >= 50%%)\n",
               ok ? "PASS" : "FAIL", speedup,
-              smoke ? ", not gated in smoke mode" : "", 100.0 * pruned_frac,
-              hot_speedup, fused_speedup);
+              smoke ? ", not gated in smoke mode" : "", 100.0 * pruned_frac);
 
   if (!json_path.empty()) {
     BenchJson j;
@@ -342,14 +268,8 @@ int main(int argc, char** argv) {
     j.Set("scalar_seconds", scalar.seconds);
     j.Set("vectorized_seconds", vectorized.seconds);
     j.Set("pruned_seconds", pruned.seconds);
-    j.Set("fused_seconds", fused.seconds);
     j.Set("hot_vectorized_seconds", hot_vec.seconds);
-    j.Set("hot_fused_seconds", hot_fused.seconds);
     j.Set("pruned_speedup_vs_scalar", speedup);
-    j.Set("fused_speedup_vs_vectorized", fused_speedup);
-    j.Set("hot_fused_speedup_vs_vectorized", hot_speedup);
-    j.Set("hot_fused_mrows_per_sec",
-          static_cast<double>(rows) / hot_fused.seconds / 1e6);
     if (!j.WriteFile(json_path)) return 1;
   }
   return ok ? 0 : 1;

@@ -1,6 +1,6 @@
 // E17 — the persistent block tier under the scan path:
 //
-//   part 1  RAM -> cold -> warm: run a three-tier query suite (fused Q1,
+//   part 1  RAM -> cold -> warm: run a three-query suite (conjunctive Q1,
 //           a disjunctive vectorized aggregate, sharded Q2) against the
 //           resident table, persist it (PersistTable evicts the RAM
 //           copy), then run the same suite twice more. The cold pass must
@@ -97,8 +97,8 @@ std::string SortedLines(const QueryResult& r) {
   return out;
 }
 
-/// One query per engine tier, so bit-identity covers the fused kernels,
-/// the general vectorized operators, and the sharded merge path.
+/// One query per scan shape, so bit-identity covers a conjunctive pushed
+/// filter, a disjunctive predicate, and the sharded merge path.
 std::vector<std::pair<std::string, UserConstraint>> Suite() {
   return {
       {FindQuery("Q1").sql, UserConstraint()},

@@ -339,9 +339,9 @@ run_tsan_stage() {
   # streaming result sinks) and the multi-worker sharded engine are the
   # concurrency hot spots; race them under ThreadSanitizer. Scoped to
   # those tests to keep CI time sane.
-  # vectorized_test rides along because the fused kernel tier shares one
-  # stateless registry across all morsel-processing threads — the parity
-  # suite is the densest driver of that shared dispatch point.
+  # vectorized_test rides along for its engine tests: LocalEngine runs
+  # morsels on 4 threads, folding per-morsel aggregate partials and
+  # probing one shared join hash table concurrently.
   # tenant_test is required here by design: the concurrent-cancel ledger
   # property and the 16-way single-flight result-cache test only prove
   # anything under the race detector.

@@ -23,9 +23,9 @@ struct TermGroup {
 
 /// Indexed by CalibrationTerm. Sizes (vector_batch_rows), the parallel
 /// decay and the configured transport are not times and never move.
-const std::array<TermGroup, 5>& TermGroups() {
+const std::array<TermGroup, 4>& TermGroups() {
   using HW = HardwareCalibration;
-  static const std::array<TermGroup, 5> groups = {{
+  static const std::array<TermGroup, 4> groups = {{
       {{&HW::scan_gibps_per_node, &HW::network_gibps_per_node,
         &HW::filter_rows_per_sec, &HW::project_rows_per_sec,
         &HW::hash_build_rows_per_sec, &HW::hash_probe_rows_per_sec,
@@ -35,7 +35,6 @@ const std::array<TermGroup, 5>& TermGroups() {
         &HW::worker_spinup_seconds, &HW::batch_dispatch_seconds}},
       {{&HW::shuffle_gibps}, {&HW::shuffle_dispatch_seconds}},
       {{&HW::wire_serialize_gibps, &HW::link_gibps}, {&HW::link_rtt_seconds}},
-      {{&HW::fused_filter_rows_per_sec}, {&HW::fused_dispatch_seconds}},
       {{&HW::storage_read_gibps}, {&HW::storage_get_seconds}},
   }};
   return groups;

@@ -22,12 +22,11 @@ struct CalibrationObservation {
 ///               and fixed latencies);
 ///   kShuffle  - exchange copy time (ShuffleCopyTime + ShuffleDispatch);
 ///   kLink     - serialize + transfer share of exchanges (LinkTermTime);
-///   kFused    - fused-kernel wall time (FusedFilterChainTime);
 ///   kStorage  - cold-block fetch+decode time (ColdReadTime).
 /// A kPipeline round rescales every group, since every predicted duration
 /// includes the core terms' notion of how fast this hardware is; the
 /// other terms rescale only their own group.
-enum class CalibrationTerm { kPipeline, kShuffle, kLink, kFused, kStorage };
+enum class CalibrationTerm { kPipeline, kShuffle, kLink, kStorage };
 
 /// What one feedback round did to the calibration.
 struct CalibrationReport {
@@ -82,12 +81,12 @@ class CalibrationUpdater {
   int rounds() const { return rounds_; }
 
  private:
-  static constexpr size_t kTerms = 5;
+  static constexpr size_t kTerms = 4;
 
   void Rescale(CalibrationTerm term, double scale);
 
   HardwareCalibration* hw_;
-  std::array<double, kTerms> total_scale_ = {1.0, 1.0, 1.0, 1.0, 1.0};
+  std::array<double, kTerms> total_scale_ = {1.0, 1.0, 1.0, 1.0};
   int rounds_ = 0;
 };
 

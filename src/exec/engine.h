@@ -6,7 +6,6 @@
 
 #include "common/result.h"
 #include "common/thread_pool.h"
-#include "exec/fused.h"
 #include "plan/pipeline.h"
 #include "storage/cache.h"
 
@@ -118,12 +117,6 @@ class LocalEngine {
   /// Zone-map pruning counters of the previous Execute call.
   const ScanStats& last_scan_stats() const { return scan_stats_; }
 
-  /// Fused-kernel counters of the previous Execute call: which morsels ran
-  /// through the fused tier the fuse_kernels pass annotated, which hit the
-  /// runtime fallback, and the wall time spent inside fused kernels (the
-  /// signal Database::Calibrate folds back into the fused cost terms).
-  const FusedExecStats& last_fused_stats() const { return fused_stats_; }
-
   /// Block-cache counters of the previous Execute call: cold-block hits,
   /// misses (each one object-store GET), and the measured read+decode time
   /// Database::Calibrate folds back into the storage terms.
@@ -148,7 +141,6 @@ class LocalEngine {
   ThreadPool pool_;
   std::vector<PipelineTiming> timings_;
   ScanStats scan_stats_;
-  FusedExecStats fused_stats_;
   BlockCacheStats block_stats_;
 };
 

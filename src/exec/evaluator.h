@@ -142,23 +142,6 @@ int64_t CountValid(const ColumnVector& v);
 /// Min/max of non-null rows; `has_value` stays false on an all-null input.
 void MinMax(const ColumnVector& v, Value* min, Value* max, bool* has_value);
 
-// Selected-row variants, used by the fused filter→aggregate fold: fold
-// only the rows in `sel` (ascending), without materializing a gathered
-// copy first. Each mirrors its unselected sibling's branch structure —
-// same accumulation order, same no-nulls fast path — so folding `sel`
-// directly is bit-identical to gathering `sel` and folding the copy.
-
-/// Accumulate(v.Gather(sel), ...) without the gather.
-void AccumulateSelected(const ColumnVector& v, const SelectionVector& sel,
-                        int64_t* count, int64_t* isum, double* dsum);
-
-/// CountValid(v.Gather(sel)) without the gather.
-int64_t CountValidSelected(const ColumnVector& v, const SelectionVector& sel);
-
-/// MinMax(v.Gather(sel), ...) without the gather.
-void MinMaxSelected(const ColumnVector& v, const SelectionVector& sel,
-                    Value* min, Value* max, bool* has_value);
-
 }  // namespace kernels
 
 }  // namespace costdb

@@ -245,7 +245,6 @@ std::shared_ptr<Table> MakeTempTable(const PhysicalPlan* exchange,
 struct SlotResult {
   Result<QueryResult> result{Status::Internal("not run")};
   ScanStats scan_stats;
-  FusedExecStats fused_stats;
   BlockCacheStats block_stats;
 };
 
@@ -697,7 +696,6 @@ Result<ShardedEngine::Shards> ShardedEngine::RunFragment(
     LocalEngine* engine = workers_[w].get();
     slots[w].result = engine->Execute(plans[w].get());
     slots[w].scan_stats = engine->last_scan_stats();
-    slots[w].fused_stats = engine->last_fused_stats();
     slots[w].block_stats = engine->last_block_stats();
   };
   if (dop > 1) {
@@ -723,7 +721,6 @@ Result<ShardedEngine::Shards> ShardedEngine::RunFragment(
     scan_stats_.morsels_pruned += slots[w].scan_stats.morsels_pruned;
     scan_stats_.rows_scanned += slots[w].scan_stats.rows_scanned;
     scan_stats_.rows_pruned += slots[w].scan_stats.rows_pruned;
-    fused_stats_.MergeFrom(slots[w].fused_stats);
     block_stats_.MergeFrom(slots[w].block_stats);
   }
   return out;
@@ -736,7 +733,6 @@ Result<QueryResult> ShardedEngine::Execute(const PhysicalPlan* root) {
   exchange_stats_.transport = transport_->kind();
   transport_->ResetStats();
   scan_stats_ = ScanStats();
-  fused_stats_ = FusedExecStats();
   block_stats_ = BlockCacheStats();
   usage_ = WorkerUsage();
   // Every Execute starts from the constructed width; an elastic schedule

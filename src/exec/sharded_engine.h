@@ -216,11 +216,6 @@ class ShardedEngine {
   /// workers.
   const ScanStats& last_scan_stats() const { return scan_stats_; }
 
-  /// Fused-kernel counters of the previous Execute call, summed over
-  /// workers (fusion annotations ride on each worker's plan clone, so
-  /// every shard runs — or falls back — independently).
-  const FusedExecStats& last_fused_stats() const { return fused_stats_; }
-
   /// Block-cache counters of the previous Execute call, summed over
   /// workers (each worker pins its own shard's cold blocks through the
   /// shared BlockCache).
@@ -324,7 +319,6 @@ class ShardedEngine {
 
   ExchangeStats exchange_stats_;
   ScanStats scan_stats_;
-  FusedExecStats fused_stats_;
   BlockCacheStats block_stats_;
   WorkerUsage usage_;
   double exec_start_ = 0.0;

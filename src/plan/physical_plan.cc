@@ -55,7 +55,6 @@ std::string PhysicalPlan::ToString(int indent) const {
         }
         out += "]";
       }
-      if (fuse_scan_filter) out += " fused";
       break;
     }
     case Kind::kFilter:
@@ -66,12 +65,8 @@ std::string PhysicalPlan::ToString(int indent) const {
         out += " " + probe_keys[i]->ToString() + "=" +
                build_keys[i]->ToString();
       }
-      if (fuse_probe) out += " fused";
       break;
     }
-    case Kind::kHashAggregate:
-      if (fuse_aggregate) out += " fused";
-      break;
     case Kind::kExchange:
       out += std::string(" ") + ExchangeKindName(exchange_kind);
       break;
@@ -85,13 +80,6 @@ std::string PhysicalPlan::ToString(int indent) const {
   out += "\n";
   for (const auto& c : children) out += c->ToString(indent + 1);
   return out;
-}
-
-size_t PhysicalPlan::FindColumn(const std::string& name) const {
-  for (size_t i = 0; i < output_names.size(); ++i) {
-    if (output_names[i] == name) return i;
-  }
-  return static_cast<size_t>(-1);
 }
 
 namespace {

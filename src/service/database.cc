@@ -377,7 +377,6 @@ Result<ExecutionResult> Database::ExecuteSharded(
     engine->SetResizer(WidthDecider());  // cached engines are reused
     out.exchange = engine->last_exchange_stats();
     out.usage = engine->last_usage();
-    out.fused = engine->last_fused_stats();
     out.storage = engine->last_block_stats();
     if (!result.ok()) return result.status();
     out.result = std::move(*result);
@@ -472,7 +471,6 @@ Result<ExecutionResult> Database::ExecuteMaterialized(
   if (engine != nullptr) {
     COSTDB_ASSIGN_OR_RETURN(out.result, engine->Execute(out.plan->plan.get()));
     out.timings = engine->last_timings();
-    out.fused = engine->last_fused_stats();
     out.storage = engine->last_block_stats();
     return out;
   }
@@ -487,7 +485,6 @@ Result<ExecutionResult> Database::ExecuteMaterialized(
   COSTDB_ASSIGN_OR_RETURN(out.result,
                           shard.engine->Execute(out.plan->plan.get()));
   out.timings = shard.engine->last_timings();
-  out.fused = shard.engine->last_fused_stats();
   out.storage = shard.engine->last_block_stats();
   return out;
 }
@@ -526,7 +523,6 @@ Result<ExecutionResult> Database::ExecutePlannedToSink(
   COSTDB_ASSIGN_OR_RETURN(streamed,
                           engine->ExecuteToSink(out.plan->plan.get(), sink));
   out.timings = engine->last_timings();
-  out.fused = engine->last_fused_stats();
   out.storage = engine->last_block_stats();
   out.result.names = std::move(streamed.names);
   out.result.types = std::move(streamed.types);
@@ -793,22 +789,6 @@ CalibrationReport Database::Calibrate(const ExecutionResult& executed) {
          t.link_seconds});
   }
   observe(CalibrationTerm::kLink, links);
-
-  // Fused morsels ran: the measured fused-kernel wall time keeps the
-  // fuse_kernels pass's fused-vs-interpreted pricing honest.
-  const FusedExecStats& fused = executed.fused;
-  if (fused.any_fused()) {
-    const double rows = static_cast<double>(fused.fused_rows);
-    const double batches = static_cast<double>(fused.fused_filter_morsels +
-                                               fused.fused_probe_morsels +
-                                               fused.fused_agg_morsels);
-    // FusedFilterChainTime prices a row-less chain at zero, but morsels
-    // over empty row groups still paid their fused dispatch.
-    const Seconds predicted =
-        rows > 0.0 ? FusedFilterChainTime(hw_, rows, batches, /*dop=*/1)
-                   : batches * hw_.fused_dispatch_seconds;
-    observe(CalibrationTerm::kFused, {{0, predicted, fused.fused_seconds}});
-  }
 
   // Cold blocks were read: the measured fetch+decode time keeps
   // block-cache admission pricing and the compaction trade honest.

@@ -101,6 +101,17 @@ struct DatabaseOptions {
   BiObjectiveOptions optimizer;
 };
 
+/// Counters of the removed fused-kernel tier. Always zero: nothing writes
+/// them. Kept only because the benchmark under perfbench/ still reads
+/// ExecutionResult::fused; a later change to that benchmark removes it.
+struct FusedExecStats {
+  size_t fused_filter_morsels = 0;
+  size_t fused_probe_morsels = 0;
+  size_t fused_agg_morsels = 0;
+  size_t fallback_morsels = 0;
+  double fused_seconds = 0.0;
+};
+
 /// One query of a concurrent batch.
 struct QueryRequest {
   std::string sql;
@@ -124,10 +135,7 @@ struct ExecutionResult {
   /// calibration; empty timings on LocalEngine runs).
   size_t workers = 1;
   ExchangeStats exchange;
-  /// Which morsels ran through the fused-kernel tier the fuse_kernels pass
-  /// annotated (summed over workers on sharded runs), including runtime
-  /// fallbacks and the wall time spent inside fused kernels — the feedback
-  /// signal of the fused-term calibration.
+  /// Always zero (see FusedExecStats).
   FusedExecStats fused;
   /// Block-cache traffic of the run's scans (all-zero unless a scanned
   /// table has persistent storage attached): cold-read wall time feeds the

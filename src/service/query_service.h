@@ -10,9 +10,9 @@ namespace costdb {
 
 /// Owns the optimizer pass pipeline and turns SQL (or a pre-bound query)
 /// into a PlannedQuery against a shared cost estimator. This is the single
-/// planning entry: the Database facade, benches and tests plan through a
-/// QueryService (the What-If Service runs a custom pass pipeline spliced
-/// from the same stages) instead of hand-wiring binder/planner objects.
+/// planning entry: the Database facade, the What-If Service (which splices
+/// its mv_rewrite pass in), benches and tests plan through a QueryService
+/// instead of hand-wiring binder/planner objects.
 class QueryService {
  public:
   QueryService(const MetadataService* meta, const CostEstimator* estimator,

@@ -3,8 +3,8 @@
 #include <cmath>
 
 #include "common/table_printer.h"
-#include "optimizer/dop_planner.h"
 #include "optimizer/passes.h"
+#include "service/query_service.h"
 
 namespace costdb {
 
@@ -12,8 +12,8 @@ namespace {
 
 /// Custom optimizer stage spliced between dag_plan and physical_plan:
 /// rewrites each logical variant to read from a hypothetical materialized
-/// view. The pass pipeline is what makes this kind of what-if surgery
-/// possible without re-wiring the planner by hand.
+/// view. QueryService::InsertPassAfter is what makes this kind of what-if
+/// surgery possible without re-wiring the planner by hand.
 class MvRewritePass : public OptimizerPass {
  public:
   MvRewritePass(const TuningAction* action, std::shared_ptr<Table> mv_table)
@@ -64,23 +64,17 @@ std::string WhatIfReport::ToString() const {
 Result<Dollars> WhatIfService::EstimateQueryCost(
     const MetadataService& meta, const std::string& sql,
     const TuningAction* mv_rewrite, std::shared_ptr<Table> mv_table) const {
-  // A left-deep pass pipeline with an MV-substitution stage spliced in
-  // after DAG planning when a rewrite is hypothesized.
-  QueryPlanContext ctx;
-  ctx.meta = &meta;
-  ctx.estimator = estimator_;
-  ctx.sql = sql;
-  ctx.constraint = options_.constraint;
-  PassPipeline passes;
-  passes.push_back(std::make_unique<BindPass>());
-  passes.push_back(std::make_unique<DagPlanPass>());
+  // The facade's pipeline, left-deep, with an MV-substitution stage
+  // spliced in after DAG planning when a rewrite is hypothesized.
+  QueryService planner(&meta, estimator_);
+  planner.RemovePass("bushy_rewrite");
   if (mv_rewrite != nullptr && mv_table != nullptr) {
-    passes.push_back(std::make_unique<MvRewritePass>(mv_rewrite, mv_table));
+    planner.InsertPassAfter(
+        "dag_plan", std::make_unique<MvRewritePass>(mv_rewrite, mv_table));
   }
-  passes.push_back(std::make_unique<PhysicalPlanPass>());
-  passes.push_back(std::make_unique<DopPlanPass>());
-  COSTDB_RETURN_NOT_OK(RunPassPipeline(passes, &ctx));
-  return ctx.best.estimate.cost;
+  PlannedQuery planned;
+  COSTDB_ASSIGN_OR_RETURN(planned, planner.PlanSql(sql, options_.constraint));
+  return planned.estimate.cost;
 }
 
 Result<Dollars> WhatIfService::BuildCost(const MetadataService& meta,

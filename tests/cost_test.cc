@@ -22,13 +22,12 @@ class CostTest : public ::testing::Test {
     node_ = PricingCatalog::Default().default_node();
   }
 
-  /// Plan a query left-deep and unfused; the result carries the plan,
+  /// Plan a query left-deep; the result carries the plan,
   /// its pipelines and the believed volumes the estimator prices.
   PlannedQuery Prepare(const std::string& sql) {
     CostEstimator estimator(&hw_, &node_);
     QueryService planner(&meta_, &estimator);
     planner.RemovePass("bushy_rewrite");
-    planner.RemovePass("fuse_kernels");
     auto planned = planner.PlanSql(sql, UserConstraint());
     EXPECT_TRUE(planned.ok()) << planned.status().ToString();
     return planned.ok() ? std::move(*planned) : PlannedQuery{};
@@ -234,8 +233,8 @@ TEST_F(CostTest, FilterChainChargesDispatchOnlyForSurvivingMorsels) {
   // Zone-map pruning drops whole morsels before any kernel runs, so the
   // batch-dispatch term must be charged per *surviving* morsel. With rows
   // and selectivity held fixed, shrinking `batches` from 200 to 20 must
-  // cut exactly the dispatch fee of the 180 pruned morsels — per conjunct
-  // on the interpreted chain, once for the whole fused chain.
+  // cut exactly the dispatch fee of the 180 pruned morsels, once per
+  // conjunct.
   const double rows = 1e6;
   const int conjuncts = 3;
   const double sel = 0.2;
@@ -246,17 +245,6 @@ TEST_F(CostTest, FilterChainChargesDispatchOnlyForSurvivingMorsels) {
   EXPECT_LT(pruned, full);
   EXPECT_NEAR(full - pruned,
               conjuncts * 180.0 * hw_.batch_dispatch_seconds, 1e-12);
-
-  Seconds fused_full = FusedFilterChainTime(hw_, rows, 200.0, 1);
-  Seconds fused_pruned = FusedFilterChainTime(hw_, rows, 20.0, 1);
-  EXPECT_NEAR(fused_full - fused_pruned, 180.0 * hw_.fused_dispatch_seconds,
-              1e-12);
-
-  // The fused chain's whole point: one dispatch per morsel instead of one
-  // per conjunct per morsel, and one row pass instead of k narrowing
-  // passes — cheaper on a multi-conjunct mid-selectivity chain.
-  EXPECT_LT(FusedFilterChainTime(hw_, rows, 200.0, 1),
-            InterpretedFilterChainTime(hw_, rows, 4, 0.3, 200.0, 1));
 }
 
 TEST_F(CostTest, SurvivingMorselsFollowPlannerPruneFraction) {
@@ -306,8 +294,6 @@ std::vector<std::pair<CalibrationTerm, TermFields>> CalibrationGroups() {
       {CalibrationTerm::kLink,
        {{&HW::wire_serialize_gibps, &HW::link_gibps},
         {&HW::link_rtt_seconds}}},
-      {CalibrationTerm::kFused,
-       {{&HW::fused_filter_rows_per_sec}, {&HW::fused_dispatch_seconds}}},
       {CalibrationTerm::kStorage,
        {{&HW::storage_read_gibps}, {&HW::storage_get_seconds}}},
   };
@@ -336,11 +322,6 @@ TEST_F(CostTest, EachCalibrationTermMovesExactlyItsOwnGroup) {
       case CalibrationTerm::kLink:
         for (int i = 1; i <= 3; ++i) {
           out.push_back(LinkTermTime(hw, i * 4.0 * kMiB, 12.0));
-        }
-        break;
-      case CalibrationTerm::kFused:
-        for (int i = 1; i <= 3; ++i) {
-          out.push_back(FusedFilterChainTime(hw, i * 1e6, 120.0, 1));
         }
         break;
       case CalibrationTerm::kStorage:
@@ -452,13 +433,6 @@ TEST_F(CostTest, CalibrationGoldenSequenceIsBitStable) {
     return CalibrationObservation{0, LinkTermTime(hw, wire_bytes, transfers),
                                   link_seconds};
   };
-  auto fused = [&](double rows, double batches, double seconds) {
-    return CalibrationObservation{
-        0,
-        rows > 0.0 ? FusedFilterChainTime(hw, rows, batches, 1)
-                   : batches * hw.fused_dispatch_seconds,
-        seconds};
-  };
   auto storage = [&](double bytes, double blocks, double seconds) {
     return CalibrationObservation{0, ColdReadTime(hw, bytes, blocks),
                                   seconds};
@@ -472,8 +446,6 @@ TEST_F(CostTest, CalibrationGoldenSequenceIsBitStable) {
                     shuffle(1.0 * kMiB, 2, 0.004, 0.001)}));
   reports.push_back(updater.Observe(
       T::kLink, {link(0.0, 0, 0.0), link(1.0 * kMiB, 3, 0.001)}));
-  reports.push_back(updater.Observe(
-      T::kFused, {fused(1e6, 100.0, 0.05), fused(0.0, 10.0, 1e-3)}));
   for (int i = 0; i < 5; ++i) {
     reports.push_back(
         updater.Observe(T::kStorage, {storage(8.0 * kMiB, 16.0, 100.0)}));
@@ -483,8 +455,6 @@ TEST_F(CostTest, CalibrationGoldenSequenceIsBitStable) {
   reports.push_back(updater.Observe(
       T::kShuffle, {shuffle(4.0 * kMiB, 4, 0.01, 0.0),
                     shuffle(1.0 * kMiB, 1, 0.001, 0.002)}));
-  reports.push_back(updater.Observe(
-      T::kFused, {fused(5e5, 50.0, 0.0), fused(2e5, 20.0, 0.02)}));
 
   struct Expected {
     int observed;
@@ -494,7 +464,6 @@ TEST_F(CostTest, CalibrationGoldenSequenceIsBitStable) {
       {2, 2.738612787525831, 1.6548754598234363, 1.6548754598234368},
       {2, 4.0357612830217837, 2.0089204272498655, 2.008920427249866},
       {1, 1.4602983061488846, 1.2084280310175219, 0.82752135363657464},
-      {2, 25.85742905974119, 5.0850200648317214, 5.0850200648317196},
       {1, 1268.8190645067789, 158.60238306334745, 8},
       {1, 158.60238306334745, 19.825297882918427, 8},
       {1, 19.825297882918427, 4.4525608230453644, 4.4525608230453662},
@@ -503,7 +472,6 @@ TEST_F(CostTest, CalibrationGoldenSequenceIsBitStable) {
       {1, 4, 2, 0.5},
       {0, 1, 1, 1},
       {1, 4.669724497655606, 2.160954533916807, 2.1609545339168075},
-      {1, 6.9629504871867907, 2.6387403220451215, 2.6387403220451211},
   };
   ASSERT_EQ(reports.size(), expected.size());
   for (size_t i = 0; i < reports.size(); ++i) {
@@ -519,8 +487,7 @@ TEST_F(CostTest, CalibrationGoldenSequenceIsBitStable) {
   EXPECT_EQ(updater.total_scale(T::kPipeline), 0.82743772991171838);
   EXPECT_EQ(updater.total_scale(T::kShuffle), 3.5920608453202703);
   EXPECT_EQ(updater.total_scale(T::kLink), 0.6847223903065196);
-  EXPECT_EQ(updater.total_scale(T::kFused), 11.102598749578299);
-  EXPECT_EQ(updater.rounds(), 12);
+  EXPECT_EQ(updater.rounds(), 10);
 
   EXPECT_EQ(hw.scan_gibps_per_node, 1.208550158942707);
   EXPECT_EQ(hw.network_gibps_per_node, 1.5106876986783839);
@@ -541,8 +508,6 @@ TEST_F(CostTest, CalibrationGoldenSequenceIsBitStable) {
   EXPECT_EQ(hw.wire_serialize_gibps, 5.8417835558281928);
   EXPECT_EQ(hw.link_gibps, 2.9208917779140964);
   EXPECT_EQ(hw.link_rtt_seconds, 3.423611951532599e-05);
-  EXPECT_EQ(hw.fused_filter_rows_per_sec, 27020700.897742044);
-  EXPECT_EQ(hw.fused_dispatch_seconds, 8.8820789996626387e-06);
   EXPECT_EQ(hw.storage_read_gibps, 0.00097656249999999978);
   EXPECT_EQ(hw.storage_get_seconds, 1.0240000000000002);
   EXPECT_EQ(hw.parallel_alpha, 0.12);

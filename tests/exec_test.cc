@@ -44,10 +44,9 @@ class ExecTest : public ::testing::Test {
     meta_.RegisterTable(orders);
     meta_.RegisterTable(customer);
     meta_.AnalyzeAll();
-    // Left-deep, unfused plans: the engine's interpreted operators run on
+    // Left-deep plans: the engine's interpreted operators run on
     // the DAG planner's shape.
     db_.query_service()->RemovePass("bushy_rewrite");
-    db_.query_service()->RemovePass("fuse_kernels");
   }
 
   QueryResult Run(const std::string& sql, size_t threads = 4) {

@@ -24,12 +24,11 @@ class OptimizerTest : public ::testing::Test {
     return q.ok() ? std::move(*q) : BoundQuery{};
   }
 
-  /// The DAG planner's left-deep, unfused plan with its pipelines and
+  /// The DAG planner's left-deep plan with its pipelines and
   /// believed volumes, for tests that drive the DOP planner by hand.
   PlannedQuery LeftDeep(const std::string& sql) {
     QueryService shaper(&meta_, estimator_.get());
     shaper.RemovePass("bushy_rewrite");
-    shaper.RemovePass("fuse_kernels");
     auto planned = shaper.PlanSql(sql, UserConstraint());
     EXPECT_TRUE(planned.ok()) << planned.status().ToString();
     return planned.ok() ? std::move(*planned) : PlannedQuery{};

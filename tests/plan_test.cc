@@ -25,9 +25,8 @@ class PlanTest : public ::testing::Test {
     RegisterDim("dim1", 100);
     RegisterDim("dim2", 50);
     meta_.AnalyzeAll();
-    // Pin the DAG planner's left-deep, unfused shape under test.
+    // Pin the DAG planner's left-deep shape under test.
     db_.query_service()->RemovePass("bushy_rewrite");
-    db_.query_service()->RemovePass("fuse_kernels");
   }
 
   void RegisterDim(const std::string& name, int64_t rows) {

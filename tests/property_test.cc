@@ -80,8 +80,8 @@ INSTANTIATE_TEST_SUITE_P(Seeds, HistogramProperty, ::testing::Range(1, 6));
 // ---------------------------------------------------------------------
 class QuerySuiteProperty : public ::testing::TestWithParam<int> {
  protected:
-  /// Shared SSB facade whose planner emits the DAG planner's left-deep,
-  /// unfused plans.
+  /// Shared SSB facade whose planner emits the DAG planner's left-deep
+  /// plans.
   static Database* Db() {
     static Database* db = [] {
       auto* d = new Database();
@@ -89,7 +89,6 @@ class QuerySuiteProperty : public ::testing::TestWithParam<int> {
       opts.scale = 0.004;
       LoadSsb(d->meta(), opts);
       d->query_service()->RemovePass("bushy_rewrite");
-      d->query_service()->RemovePass("fuse_kernels");
       return d;
     }();
     return db;
@@ -152,7 +151,6 @@ TEST_P(PlannerMonotonicity, LooserSlaNeverCostsMore) {
 TEST_P(PlannerMonotonicity, FrontierIsNonDominated) {
   QueryService shaper(&meta_, estimator_.get());
   shaper.RemovePass("bushy_rewrite");
-  shaper.RemovePass("fuse_kernels");
   auto planned = shaper.PlanSql(FindQuery(GetParam()).sql, UserConstraint());
   ASSERT_TRUE(planned.ok());
   DopPlannerOptions opts;

@@ -509,10 +509,9 @@ std::unique_ptr<Database> MakePersistentSsbDb(const std::string& spill_name,
 TEST(DatabaseStorageTest, PersistedScansBitIdenticalAcrossEngineTiers) {
   auto db = MakePersistentSsbDb("db_tiers", 8u << 20);
   const std::vector<std::pair<std::string, UserConstraint>> runs = {
-      // Fused tier: Q1's conjunctive scan filter is the fuse_kernels
-      // pass's home turf.
+      // Conjunctive pushed scan filter.
       {FindQuery("Q1").sql, UserConstraint()},
-      // Vectorized (non-fused) tier: a disjunctive predicate.
+      // Disjunctive predicate.
       {"SELECT lo_shipmode, count(*) AS n, sum(lo_revenue) AS rev "
        "FROM lineorder WHERE lo_quantity < 10 OR lo_discount = 2 "
        "GROUP BY lo_shipmode ORDER BY rev DESC",

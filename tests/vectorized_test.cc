@@ -11,7 +11,6 @@
 #include "cost/operator_models.h"
 #include "exec/engine.h"
 #include "exec/evaluator.h"
-#include "exec/fused.h"
 #include "service/database.h"
 #include "storage/table.h"
 
@@ -97,6 +96,55 @@ ExprPtr RandomPredicate(Rng* rng, int depth) {
   }
 }
 
+/// Random AND chain of 1-4 simple conjuncts, the common pushed-filter
+/// shape: column-vs-constant compares over every type family, numeric
+/// column-vs-column (including int-vs-double), and LIKE with and without
+/// ESCAPE.
+ExprPtr RandomConjunction(Rng* rng) {
+  const CompareOp ops[] = {CompareOp::kEq, CompareOp::kNe, CompareOp::kLt,
+                           CompareOp::kLe, CompareOp::kGt, CompareOp::kGe};
+  const int terms = static_cast<int>(rng->UniformInt(1, 4));
+  std::vector<ExprPtr> kids;
+  for (int t = 0; t < terms; ++t) {
+    CompareOp op = ops[rng->UniformInt(0, 5)];
+    switch (rng->UniformInt(0, 5)) {
+      case 0:
+        kids.push_back(Expr::MakeCompare(
+            op, IntCol("a"),
+            Expr::MakeConstant(Value(rng->UniformInt(-40, 40)),
+                               LogicalType::kInt64)));
+        break;
+      case 1:
+        kids.push_back(Expr::MakeCompare(
+            op, Expr::MakeColumn("x", LogicalType::kDouble),
+            Expr::MakeConstant(Value(rng->Uniform(-8.0, 8.0)),
+                               LogicalType::kDouble)));
+        break;
+      case 2:
+        kids.push_back(Expr::MakeCompare(op, IntCol("a"), IntCol("b")));
+        break;
+      case 3:  // mixed int-vs-double column compare
+        kids.push_back(Expr::MakeCompare(
+            op, IntCol("b"), Expr::MakeColumn("x", LogicalType::kDouble)));
+        break;
+      case 4:
+        kids.push_back(Expr::MakeCompare(
+            op, Expr::MakeColumn("s", LogicalType::kVarchar),
+            Expr::MakeConstant(Value(std::string(kWords[rng->UniformInt(0, 6)])),
+                               LogicalType::kVarchar)));
+        break;
+      default:
+        kids.push_back(
+            Expr::MakeLike(Expr::MakeColumn("s", LogicalType::kVarchar),
+                           rng->NextDouble() < 0.5 ? "%a%" : "be!_ta",
+                           rng->NextDouble() < 0.5 ? '\0' : '!'));
+        break;
+    }
+  }
+  if (kids.size() == 1) return std::move(kids[0]);
+  return Expr::MakeAnd(std::move(kids));
+}
+
 TEST(VectorizedParity, SelectionMatchesScalarReference) {
   Rng rng(7);
   Evaluator ev(&kSchema);
@@ -110,6 +158,20 @@ TEST(VectorizedParity, SelectionMatchesScalarReference) {
     ASSERT_TRUE(slow.ok()) << pred->ToString();
     EXPECT_EQ(*fast, *slow) << "iter " << iter << " nulls=" << with_nulls
                             << " pred " << pred->ToString();
+  }
+  // Seeded multi-conjunct AND chains over their own chunks.
+  Rng conj_rng(31);
+  for (int iter = 0; iter < 150; ++iter) {
+    const bool with_nulls = iter % 2 == 1;
+    DataChunk chunk = RandomChunk(&conj_rng, 193, with_nulls);
+    ExprPtr pred = RandomConjunction(&conj_rng);
+    auto fast = ev.EvaluateSelection(*pred, chunk);
+    auto slow = ev.EvaluateSelectionScalar(*pred, chunk);
+    ASSERT_TRUE(fast.ok()) << pred->ToString();
+    ASSERT_TRUE(slow.ok()) << pred->ToString();
+    EXPECT_EQ(*fast, *slow) << "conjunction iter " << iter
+                            << " nulls=" << with_nulls << " pred "
+                            << pred->ToString();
   }
 }
 
@@ -184,6 +246,19 @@ TEST(VectorizedParity, LikeEscapeMatchesScalarReference) {
     auto mask = ev.Evaluate(*pred, chunk);
     ASSERT_TRUE(mask.ok());
     EXPECT_TRUE(mask->IsNull(chunk.num_rows() - 1));
+    // LIKE ESCAPE inside a conjunction with a numeric term.
+    ExprPtr conj = Expr::MakeAnd({
+        Expr::MakeCompare(CompareOp::kGe, IntCol("a"),
+                          Expr::MakeConstant(Value(int64_t{0}),
+                                             LogicalType::kInt64)),
+        Expr::MakeLike(Expr::MakeColumn("s", LogicalType::kVarchar), pattern,
+                       '!'),
+    });
+    auto conj_fast = ev.EvaluateSelection(*conj, chunk);
+    auto conj_slow = ev.EvaluateSelectionScalar(*conj, chunk);
+    ASSERT_TRUE(conj_fast.ok()) << pattern;
+    ASSERT_TRUE(conj_slow.ok()) << pattern;
+    EXPECT_EQ(*conj_fast, *conj_slow) << pattern;
   }
 }
 
@@ -231,6 +306,38 @@ TEST(VectorizedParity, NullComparisonNeverSelects) {
   auto neg = ev.EvaluateSelection(*Expr::MakeNot(gt), chunk);
   ASSERT_TRUE(neg.ok());
   EXPECT_EQ(*neg, (SelectionVector{2}));
+
+  // Empty, all-pass and NULL-constant selections over a NULL-sprinkled
+  // chunk and over a zero-row chunk: both paths agree everywhere.
+  Rng rng(43);
+  const DataChunk random = RandomChunk(&rng, 211, /*with_nulls=*/true);
+  const DataChunk empty(random.Types());
+  auto int_const = [](const Value& v) {
+    return Expr::MakeConstant(v, LogicalType::kInt64);
+  };
+  // No row satisfies a < -1000.
+  ExprPtr none = Expr::MakeCompare(CompareOp::kLt, IntCol("a"),
+                                   int_const(Value(int64_t{-1000})));
+  // a <= 1000 keeps every valid row but must still deselect NULLs.
+  ExprPtr all = Expr::MakeCompare(CompareOp::kLe, IntCol("a"),
+                                  int_const(Value(int64_t{1000})));
+  // A conjunct comparing against a NULL constant selects nothing.
+  ExprPtr with_null = Expr::MakeAnd(
+      {all->Clone(), Expr::MakeCompare(CompareOp::kEq, IntCol("b"),
+                                       int_const(Value::Null()))});
+  for (const ExprPtr& pred : {none, all, with_null}) {
+    for (const DataChunk* c : {&random, &empty}) {
+      auto fast = ev.EvaluateSelection(*pred, *c);
+      auto slow = ev.EvaluateSelectionScalar(*pred, *c);
+      ASSERT_TRUE(fast.ok()) << pred->ToString();
+      ASSERT_TRUE(slow.ok()) << pred->ToString();
+      EXPECT_EQ(*fast, *slow)
+          << pred->ToString() << " rows " << c->num_rows();
+    }
+  }
+  auto null_sel = ev.EvaluateSelection(*with_null, random);
+  ASSERT_TRUE(null_sel.ok());
+  EXPECT_TRUE(null_sel->empty());
 }
 
 TEST(VectorizedParity, BareColumnPredicateUsesTypedTruthiness) {
@@ -350,307 +457,6 @@ TEST(ZoneMapPruning, NeverDropsQualifyingRows) {
   }
 }
 
-// ------------------------------------------------------------ fused tier
-// Three-way parity: the fused single-pass kernels must agree with the
-// per-kernel vectorized path AND the scalar reference interpreter on the
-// same randomized chunks. The registry is the shared dispatch point, so
-// these tests also pin down exactly which shapes compile.
-
-const std::vector<LogicalType> kSchemaTypes = {
-    LogicalType::kInt64, LogicalType::kInt64, LogicalType::kDouble,
-    LogicalType::kVarchar};
-
-/// Random conjunction drawn only from shapes the registry instantiates:
-/// column-vs-constant compares over every type family, numeric
-/// column-vs-column, and LIKE with and without ESCAPE.
-ExprPtr RandomFusableConjunction(Rng* rng) {
-  const CompareOp ops[] = {CompareOp::kEq, CompareOp::kNe, CompareOp::kLt,
-                           CompareOp::kLe, CompareOp::kGt, CompareOp::kGe};
-  const int terms = static_cast<int>(rng->UniformInt(1, 4));
-  std::vector<ExprPtr> kids;
-  for (int t = 0; t < terms; ++t) {
-    CompareOp op = ops[rng->UniformInt(0, 5)];
-    switch (rng->UniformInt(0, 5)) {
-      case 0:
-        kids.push_back(Expr::MakeCompare(
-            op, IntCol("a"),
-            Expr::MakeConstant(Value(rng->UniformInt(-40, 40)),
-                               LogicalType::kInt64)));
-        break;
-      case 1:
-        kids.push_back(Expr::MakeCompare(
-            op, Expr::MakeColumn("x", LogicalType::kDouble),
-            Expr::MakeConstant(Value(rng->Uniform(-8.0, 8.0)),
-                               LogicalType::kDouble)));
-        break;
-      case 2:
-        kids.push_back(Expr::MakeCompare(op, IntCol("a"), IntCol("b")));
-        break;
-      case 3:  // mixed int-vs-double column compare (kNumColCol)
-        kids.push_back(Expr::MakeCompare(
-            op, IntCol("b"), Expr::MakeColumn("x", LogicalType::kDouble)));
-        break;
-      case 4:
-        kids.push_back(Expr::MakeCompare(
-            op, Expr::MakeColumn("s", LogicalType::kVarchar),
-            Expr::MakeConstant(Value(std::string(kWords[rng->UniformInt(0, 6)])),
-                               LogicalType::kVarchar)));
-        break;
-      default:
-        kids.push_back(
-            Expr::MakeLike(Expr::MakeColumn("s", LogicalType::kVarchar),
-                           rng->NextDouble() < 0.5 ? "%a%" : "be!_ta",
-                           rng->NextDouble() < 0.5 ? '\0' : '!'));
-        break;
-    }
-  }
-  if (kids.size() == 1) return std::move(kids[0]);
-  return Expr::MakeAnd(std::move(kids));
-}
-
-TEST(FusedParity, RandomConjunctionsMatchVectorizedAndScalar) {
-  Rng rng(31);
-  Evaluator ev(&kSchema);
-  const FusedKernelRegistry& registry = FusedKernelRegistry::Global();
-  SelectionVector fused_sel;
-  for (int iter = 0; iter < 150; ++iter) {
-    const bool with_nulls = iter % 2 == 1;
-    DataChunk chunk = RandomChunk(&rng, 193, with_nulls);
-    ExprPtr pred = RandomFusableConjunction(&rng);
-    ASSERT_TRUE(registry.CanCompile(*pred, kSchema, kSchemaTypes))
-        << pred->ToString();
-    auto fused = registry.Compile(*pred, kSchema, kSchemaTypes);
-    ASSERT_TRUE(fused.has_value()) << pred->ToString();
-    ASSERT_TRUE(fused->Select(chunk, &fused_sel).ok()) << pred->ToString();
-    auto fast = ev.EvaluateSelection(*pred, chunk);
-    auto slow = ev.EvaluateSelectionScalar(*pred, chunk);
-    ASSERT_TRUE(fast.ok()) << pred->ToString();
-    ASSERT_TRUE(slow.ok()) << pred->ToString();
-    EXPECT_EQ(fused_sel, *fast) << "iter " << iter << " nulls=" << with_nulls
-                                << " pred " << pred->ToString();
-    EXPECT_EQ(fused_sel, *slow) << "iter " << iter << " nulls=" << with_nulls
-                                << " pred " << pred->ToString();
-  }
-}
-
-TEST(FusedParity, EmptyAllPassAndNullConstantSelections) {
-  Rng rng(43);
-  Evaluator ev(&kSchema);
-  const FusedKernelRegistry& registry = FusedKernelRegistry::Global();
-  DataChunk chunk = RandomChunk(&rng, 211, /*with_nulls=*/true);
-  SelectionVector fused_sel;
-
-  auto check = [&](const ExprPtr& pred) {
-    auto fused = registry.Compile(*pred, kSchema, kSchemaTypes);
-    ASSERT_TRUE(fused.has_value()) << pred->ToString();
-    ASSERT_TRUE(fused->Select(chunk, &fused_sel).ok());
-    auto slow = ev.EvaluateSelectionScalar(*pred, chunk);
-    ASSERT_TRUE(slow.ok());
-    EXPECT_EQ(fused_sel, *slow) << pred->ToString();
-  };
-
-  // Empty selection: no row satisfies a < -1000.
-  ExprPtr none = Expr::MakeCompare(
-      CompareOp::kLt, IntCol("a"),
-      Expr::MakeConstant(Value(int64_t{-1000}), LogicalType::kInt64));
-  check(none);
-
-  // All-pass on the non-NULL rows: a <= 1000 keeps every valid row but
-  // must still deselect NULLs (SQL three-valued logic).
-  ExprPtr all = Expr::MakeCompare(
-      CompareOp::kLe, IntCol("a"),
-      Expr::MakeConstant(Value(int64_t{1000}), LogicalType::kInt64));
-  check(all);
-
-  // A conjunct comparing against a NULL constant compiles to always-false.
-  ExprPtr with_null = Expr::MakeAnd({
-      Expr::MakeCompare(CompareOp::kLe, IntCol("a"),
-                        Expr::MakeConstant(Value(int64_t{1000}),
-                                           LogicalType::kInt64)),
-      Expr::MakeCompare(CompareOp::kEq, IntCol("b"),
-                        Expr::MakeConstant(Value::Null(),
-                                           LogicalType::kInt64)),
-  });
-  auto fused = registry.Compile(*with_null, kSchema, kSchemaTypes);
-  ASSERT_TRUE(fused.has_value());
-  EXPECT_TRUE(fused->always_false());
-  check(with_null);
-
-  // Zero-row chunk: every path agrees on the empty selection.
-  DataChunk empty({LogicalType::kInt64, LogicalType::kInt64,
-                   LogicalType::kDouble, LogicalType::kVarchar});
-  auto fused_all = registry.Compile(*all, kSchema, kSchemaTypes);
-  ASSERT_TRUE(fused_all.has_value());
-  ASSERT_TRUE(fused_all->Select(empty, &fused_sel).ok());
-  EXPECT_TRUE(fused_sel.empty());
-}
-
-TEST(FusedParity, LikeEscapeInFusedConjunction) {
-  DataChunk chunk({LogicalType::kInt64, LogicalType::kInt64,
-                   LogicalType::kDouble, LogicalType::kVarchar});
-  const char* samples[] = {"50%",  "50x", "a_b", "axb",    "a!b", "100%",
-                           "",     "%",   "_",   "!",      "50% off"};
-  int64_t i = 0;
-  for (const char* s : samples) {
-    chunk.AppendRow({Value(i++), Value(int64_t{0}), Value(0.0),
-                     Value(std::string(s))});
-  }
-  chunk.AppendRow({Value(i), Value(int64_t{0}), Value(0.0), Value::Null()});
-  Evaluator ev(&kSchema);
-  const FusedKernelRegistry& registry = FusedKernelRegistry::Global();
-  SelectionVector fused_sel;
-  for (const char* pattern : {"50!%", "a!_b", "a!!b", "!%%", "%!%%", "!_"}) {
-    // LIKE ESCAPE riding inside a fused conjunction with a numeric term.
-    ExprPtr pred = Expr::MakeAnd({
-        Expr::MakeCompare(CompareOp::kGe, IntCol("a"),
-                          Expr::MakeConstant(Value(int64_t{0}),
-                                             LogicalType::kInt64)),
-        Expr::MakeLike(Expr::MakeColumn("s", LogicalType::kVarchar), pattern,
-                       '!'),
-    });
-    auto fused = registry.Compile(*pred, kSchema, kSchemaTypes);
-    ASSERT_TRUE(fused.has_value()) << pattern;
-    ASSERT_TRUE(fused->Select(chunk, &fused_sel).ok()) << pattern;
-    auto fast = ev.EvaluateSelection(*pred, chunk);
-    auto slow = ev.EvaluateSelectionScalar(*pred, chunk);
-    ASSERT_TRUE(fast.ok()) << pattern;
-    ASSERT_TRUE(slow.ok()) << pattern;
-    EXPECT_EQ(fused_sel, *fast) << pattern;
-    EXPECT_EQ(fused_sel, *slow) << pattern;
-  }
-}
-
-TEST(FusedRegistry, DeclinesUnsupportedShapes) {
-  const FusedKernelRegistry& registry = FusedKernelRegistry::Global();
-  auto int_const = [](int64_t v) {
-    return Expr::MakeConstant(Value(v), LogicalType::kInt64);
-  };
-  ExprPtr cmp_a = Expr::MakeCompare(CompareOp::kLt, IntCol("a"), int_const(3));
-  ExprPtr cmp_b = Expr::MakeCompare(CompareOp::kGt, IntCol("b"), int_const(1));
-  // OR, NOT, and arithmetic operands have no fused instantiation.
-  for (const ExprPtr& bad :
-       {Expr::MakeOr({cmp_a->Clone(), cmp_b->Clone()}),
-        Expr::MakeNot(cmp_a->Clone()),
-        Expr::MakeCompare(CompareOp::kLt,
-                          Expr::MakeArith('+', IntCol("a"), IntCol("b")),
-                          int_const(5))}) {
-    EXPECT_FALSE(registry.CanCompile(*bad, kSchema, kSchemaTypes))
-        << bad->ToString();
-    EXPECT_FALSE(registry.Compile(*bad, kSchema, kSchemaTypes).has_value())
-        << bad->ToString();
-  }
-  // ...and one unsupported conjunct spoils the whole conjunction.
-  ExprPtr mixed = Expr::MakeAnd(
-      {cmp_a->Clone(), Expr::MakeNot(cmp_b->Clone())});
-  EXPECT_FALSE(registry.CanCompile(*mixed, kSchema, kSchemaTypes));
-
-  // String-vs-numeric mixes decline; SUM over a string column declines.
-  ExprPtr str_num = Expr::MakeCompare(
-      CompareOp::kEq, Expr::MakeColumn("s", LogicalType::kVarchar),
-      int_const(1));
-  EXPECT_FALSE(registry.CanCompile(*str_num, kSchema, kSchemaTypes));
-  std::vector<FusedAggSpec> specs;
-  std::vector<ExprPtr> bad_aggs;
-  bad_aggs.push_back(Expr::MakeAgg(
-      AggFunc::kSum, Expr::MakeColumn("s", LogicalType::kVarchar)));
-  EXPECT_FALSE(
-      registry.CompileAggregates(bad_aggs, kSchema, kSchemaTypes, &specs));
-  std::vector<ExprPtr> computed_aggs;
-  computed_aggs.push_back(Expr::MakeAgg(
-      AggFunc::kSum, Expr::MakeArith('+', IntCol("a"), IntCol("b"))));
-  EXPECT_FALSE(registry.CompileAggregates(computed_aggs, kSchema,
-                                          kSchemaTypes, &specs));
-}
-
-TEST(FusedParity, SelectGatherMatchesSelectPlusGather) {
-  Rng rng(57);
-  const FusedKernelRegistry& registry = FusedKernelRegistry::Global();
-  for (int iter = 0; iter < 40; ++iter) {
-    DataChunk chunk = RandomChunk(&rng, 173, iter % 2 == 1);
-    ExprPtr pred = RandomFusableConjunction(&rng);
-    auto fused = registry.Compile(*pred, kSchema, kSchemaTypes);
-    ASSERT_TRUE(fused.has_value());
-    SelectionVector sel;
-    ASSERT_TRUE(fused->Select(chunk, &sel).ok());
-    DataChunk projected({LogicalType::kInt64, LogicalType::kVarchar});
-    SelectionVector scratch;
-    ASSERT_TRUE(
-        fused->SelectGather(chunk, {0, 3}, &projected, &scratch).ok());
-    ASSERT_EQ(projected.num_rows(), sel.size());
-    DataChunk manual({LogicalType::kInt64, LogicalType::kVarchar});
-    manual.column(0) = chunk.column(0).Gather(sel);
-    manual.column(1) = chunk.column(3).Gather(sel);
-    EXPECT_EQ(projected.ToString(-1), manual.ToString(-1)) << "iter " << iter;
-  }
-}
-
-TEST(FusedParity, FilterAggregateFoldMatchesSelectedKernels) {
-  Rng rng(71);
-  const FusedKernelRegistry& registry = FusedKernelRegistry::Global();
-  std::vector<ExprPtr> aggs;
-  aggs.push_back(Expr::MakeAgg(AggFunc::kCountStar, nullptr));
-  aggs.push_back(Expr::MakeAgg(AggFunc::kCount,
-                               Expr::MakeColumn("x", LogicalType::kDouble)));
-  aggs.push_back(Expr::MakeAgg(AggFunc::kSum, IntCol("a")));
-  aggs.push_back(Expr::MakeAgg(AggFunc::kAvg,
-                               Expr::MakeColumn("x", LogicalType::kDouble)));
-  aggs.push_back(Expr::MakeAgg(AggFunc::kMin, IntCol("a")));
-  aggs.push_back(Expr::MakeAgg(AggFunc::kMax,
-                               Expr::MakeColumn("x", LogicalType::kDouble)));
-  std::vector<FusedAggSpec> specs;
-  ASSERT_TRUE(registry.CompileAggregates(aggs, kSchema, kSchemaTypes, &specs));
-  ASSERT_EQ(specs.size(), aggs.size());
-
-  Evaluator ev(&kSchema);
-  for (int iter = 0; iter < 30; ++iter) {
-    DataChunk chunk = RandomChunk(&rng, 149, iter % 2 == 1);
-    ExprPtr pred = RandomFusableConjunction(&rng);
-    auto fused = registry.Compile(*pred, kSchema, kSchemaTypes);
-    ASSERT_TRUE(fused.has_value());
-    std::vector<FusedAggState> states(specs.size());
-    SelectionVector scratch;
-    auto survivors =
-        FusedFilterAggregate(&*fused, chunk, specs, &states, &scratch);
-    ASSERT_TRUE(survivors.ok());
-
-    auto sel = ev.EvaluateSelectionScalar(*pred, chunk);
-    ASSERT_TRUE(sel.ok());
-    EXPECT_EQ(*survivors, sel->size());
-    // COUNT(*).
-    EXPECT_EQ(states[0].count, static_cast<int64_t>(sel->size()));
-    // COUNT(x).
-    EXPECT_EQ(states[1].count,
-              kernels::CountValidSelected(chunk.column(2), *sel));
-    // SUM(a): integer accumulation stays exact.
-    int64_t count = 0, isum = 0;
-    double dsum = 0.0;
-    kernels::AccumulateSelected(chunk.column(0), *sel, &count, &isum, &dsum);
-    EXPECT_EQ(states[2].count, count);
-    EXPECT_EQ(states[2].isum, isum);
-    EXPECT_EQ(states[2].dsum, dsum);  // bit-identical, not approximately
-    // AVG(x): double accumulation must be bit-identical to the unfused
-    // kernel (same visit order, same branch structure).
-    count = 0; isum = 0; dsum = 0.0;
-    kernels::AccumulateSelected(chunk.column(2), *sel, &count, &isum, &dsum);
-    EXPECT_EQ(states[3].count, count);
-    EXPECT_EQ(states[3].dsum, dsum);
-    // MIN(a) / MAX(x).
-    Value lo, hi;
-    bool has_value = false;
-    kernels::MinMaxSelected(chunk.column(0), *sel, &lo, &hi, &has_value);
-    EXPECT_EQ(states[4].has_value, has_value);
-    if (has_value) {
-      EXPECT_EQ(states[4].min.AsInt(), lo.AsInt());
-    }
-    has_value = false;
-    kernels::MinMaxSelected(chunk.column(2), *sel, &lo, &hi, &has_value);
-    EXPECT_EQ(states[5].has_value, has_value);
-    if (has_value) {
-      EXPECT_EQ(states[5].max.AsDouble(), hi.AsDouble());
-    }
-  }
-}
-
 /// Engine-level fixture: a clustered fact table large enough to span many
 /// row groups, queried through the optimizer like exec_test does.
 class VectorizedEngineTest : public ::testing::Test {
@@ -671,10 +477,8 @@ class VectorizedEngineTest : public ::testing::Test {
     fact->Append(chunk);
     meta_.RegisterTable(fact);
     meta_.AnalyzeAll();
-    // Left-deep, unfused plans: fusion is annotated by hand below, so an
-    // unannotated plan must stay on the interpreted path.
+    // Left-deep plans.
     db_.query_service()->RemovePass("bushy_rewrite");
-    db_.query_service()->RemovePass("fuse_kernels");
   }
 
   Result<PhysicalPlanPtr> PlanSql(const std::string& sql) {
@@ -865,8 +669,6 @@ TEST_F(VectorizedEngineTest, JoinAndFilterMatchScalarOracle) {
   EXPECT_EQ(r->chunk.column(0).GetInt(0), expected);
 }
 
-// ---------------------------------------------------- fused engine paths
-
 PhysicalPlan* FindNodeOfKind(PhysicalPlan* n, PhysicalPlan::Kind kind) {
   if (n == nullptr) return nullptr;
   if (n->kind == kind) return n;
@@ -874,90 +676,6 @@ PhysicalPlan* FindNodeOfKind(PhysicalPlan* n, PhysicalPlan::Kind kind) {
     if (PhysicalPlan* f = FindNodeOfKind(c.get(), kind)) return f;
   }
   return nullptr;
-}
-
-/// Annotate every fusable site the way the fuse_kernels pass would when it
-/// prices fusion net-positive: scans with pushed filters, global
-/// aggregates, hash-join probes. Lets the engine tests exercise the fused
-/// execution paths without depending on the cost model's verdict.
-void AnnotateAllFusable(PhysicalPlan* n) {
-  if (n == nullptr) return;
-  for (auto& c : n->children) AnnotateAllFusable(c.get());
-  if (n->kind == PhysicalPlan::Kind::kTableScan && !n->scan_filters.empty()) {
-    n->fuse_scan_filter = true;
-  }
-  if (n->kind == PhysicalPlan::Kind::kHashAggregate && n->group_by.empty()) {
-    n->fuse_aggregate = true;
-  }
-  if (n->kind == PhysicalPlan::Kind::kHashJoin) n->fuse_probe = true;
-}
-
-TEST_F(VectorizedEngineTest, FusedScanFilterBitIdenticalToInterpreted) {
-  const std::string sql = "SELECT k FROM fact WHERE k < 256 AND grp >= 2";
-  LocalEngine plain_engine(4);
-  auto plain = Run(sql, &plain_engine);
-  ASSERT_TRUE(plain.ok());
-  EXPECT_FALSE(plain_engine.last_fused_stats().any_fused())
-      << "unannotated plan must stay on the interpreted path";
-
-  auto plan = PlanSql(sql);
-  ASSERT_TRUE(plan.ok());
-  AnnotateAllFusable(plan->get());
-  LocalEngine fused_engine(4);
-  auto fused = fused_engine.Execute(plan->get());
-  ASSERT_TRUE(fused.ok()) << fused.status().ToString();
-  EXPECT_GT(fused_engine.last_fused_stats().fused_filter_morsels, 0u);
-  EXPECT_EQ(fused->chunk.ToString(-1), plain->chunk.ToString(-1));
-}
-
-TEST_F(VectorizedEngineTest, FusedGlobalAggregateBitIdenticalToInterpreted) {
-  const std::string sql =
-      "SELECT count(*) AS n, sum(amount) AS s, min(k) AS lo, max(k) AS hi, "
-      "avg(amount) AS mean FROM fact WHERE k < 1024 AND grp >= 2";
-  LocalEngine plain_engine(4);
-  auto plain = Run(sql, &plain_engine);
-  ASSERT_TRUE(plain.ok());
-
-  auto plan = PlanSql(sql);
-  ASSERT_TRUE(plan.ok());
-  AnnotateAllFusable(plan->get());
-  LocalEngine fused_engine(4);
-  auto fused = fused_engine.Execute(plan->get());
-  ASSERT_TRUE(fused.ok()) << fused.status().ToString();
-  EXPECT_GT(fused_engine.last_fused_stats().fused_agg_morsels, 0u);
-  // Bit-exact double sums: the fused fold mirrors the unfused kernels'
-  // branch structure and visit order.
-  EXPECT_EQ(fused->chunk.ToString(-1), plain->chunk.ToString(-1));
-}
-
-TEST_F(VectorizedEngineTest, FusedProbePipelineBitIdenticalToInterpreted) {
-  auto dim = std::make_shared<Table>(
-      "fdim", std::vector<ColumnDef>{{"id", LogicalType::kInt64},
-                                     {"label", LogicalType::kVarchar}});
-  DataChunk dc({LogicalType::kInt64, LogicalType::kVarchar});
-  for (int64_t g = 0; g < 8; ++g) {
-    dc.AppendRow({Value(g), Value(std::string(g % 2 == 0 ? "even" : "odd"))});
-  }
-  dim->Append(dc);
-  meta_.RegisterTable(dim);
-  meta_.AnalyzeAll();
-
-  const std::string sql =
-      "SELECT k, label FROM fact, fdim WHERE grp = id AND k < 256";
-  LocalEngine plain_engine(4);
-  auto plain = Run(sql, &plain_engine);
-  ASSERT_TRUE(plain.ok());
-
-  auto plan = PlanSql(sql);
-  ASSERT_TRUE(plan.ok());
-  AnnotateAllFusable(plan->get());
-  ASSERT_NE(FindNodeOfKind(plan->get(), PhysicalPlan::Kind::kHashJoin),
-            nullptr);
-  LocalEngine fused_engine(4);
-  auto fused = fused_engine.Execute(plan->get());
-  ASSERT_TRUE(fused.ok()) << fused.status().ToString();
-  EXPECT_GT(fused_engine.last_fused_stats().fused_probe_morsels, 0u);
-  EXPECT_EQ(fused->chunk.ToString(-1), plain->chunk.ToString(-1));
 }
 
 TEST_F(VectorizedEngineTest, SurvivingMorselPredictionMatchesEngineScanStats) {
@@ -985,28 +703,6 @@ TEST_F(VectorizedEngineTest, SurvivingMorselPredictionMatchesEngineScanStats) {
   // k < 256 keeps 4 of 32 ordered row groups: the pruned scan must be
   // charged far fewer dispatches than an unpruned one.
   EXPECT_LT(predicted, static_cast<double>(stats.morsels_total) / 2.0);
-}
-
-TEST_F(VectorizedEngineTest, UnfusableShapeFallsBackAndStillAgrees) {
-  // OR inside the pushed filter: the registry declines, the engine counts
-  // a fallback morsel, and the interpreted path serves the query.
-  const std::string sql =
-      "SELECT k FROM fact WHERE k < 256 OR grp = 3";
-  auto plan = PlanSql(sql);
-  ASSERT_TRUE(plan.ok());
-  LocalEngine plain_engine(4);
-  auto plain = plain_engine.Execute(plan->get());
-  ASSERT_TRUE(plain.ok());
-
-  auto annotated = PlanSql(sql);
-  ASSERT_TRUE(annotated.ok());
-  AnnotateAllFusable(annotated->get());
-  LocalEngine fused_engine(4);
-  auto fused = fused_engine.Execute(annotated->get());
-  ASSERT_TRUE(fused.ok()) << fused.status().ToString();
-  const FusedExecStats& stats = fused_engine.last_fused_stats();
-  EXPECT_FALSE(stats.any_fused());
-  EXPECT_EQ(fused->chunk.ToString(-1), plain->chunk.ToString(-1));
 }
 
 }  // namespace

@@ -68,7 +68,6 @@ TEST(SsbTest, AllTwelveQueriesPlanAndExecute) {
   LoadSsb(db.meta(), opts);
   QueryService* planner = db.query_service();
   planner->RemovePass("bushy_rewrite");
-  planner->RemovePass("fuse_kernels");
   LocalEngine engine(4);
   for (const auto& q : SsbQueries()) {
     auto planned = planner->PlanSql(q.sql, UserConstraint());
@@ -98,7 +97,6 @@ TEST(SsbTest, Q1MatchesManualRecomputation) {
   }
   QueryService* planner = db.query_service();
   planner->RemovePass("bushy_rewrite");
-  planner->RemovePass("fuse_kernels");
   LocalEngine engine(4);
   auto planned = planner->PlanSql(FindQuery("Q1").sql, UserConstraint());
   ASSERT_TRUE(planned.ok());
